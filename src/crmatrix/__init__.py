@@ -23,7 +23,7 @@ from .projection import (band_factor, embedded_gram, kron_embed,
                          wannier_coefficient, wannier_inverse)
 from .rmatrix import (ConnectionField, PositionMatrix, band_overlap,
                       berry_connection, central_difference,
-                      crystal_momentum_matrix, position_matrix,
+                      crystal_momentum_matrix, link_overlaps, position_matrix,
                       position_momentum_commutator, position_phase_sum,
                       reduced_position_matrix)
 from .gauge import (CurvatureCheck, GaugeField, InvarianceReport,

@@ -10,10 +10,12 @@ the CRMATRIX_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,23 +25,91 @@ from .model import (BlochField, LatticeSpec, TwoBandAngles, build_kgrid,
                     eigenfield_from_hamiltonian, two_band_field)
 from .rmatrix import berry_connection, position_matrix, reduced_position_matrix
 
-TASKS = ("crm", "connection", "berry-phase", "gauge-audit", "shift-current",
-         "pump", "divergence-demo", "incompleteness")
-
 _EXPR_NAMES = {
     "pi": np.pi, "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "sqrt": np.sqrt, "abs": np.abs, "arccos": np.arccos, "arcsin": np.arcsin,
     "arctan": np.arctan, "angle": np.angle, "cosh": np.cosh, "sinh": np.sinh,
     "j": 1j,
 }
+#: the names an expression may use other than as the function of a call
+_EXPR_VALUES = ("pi", "j", "k", "a")
+_EXPR_NODES = (ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult,
+               ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.UAdd, ast.USub)
 
 
-def _eval_expr(expr: str, **vars):
-    """Evaluate a numeric expression string with a restricted namespace."""
+def _integer_only(node) -> bool:
+    return all(isinstance(n, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop))
+               or isinstance(n, ast.Constant) and type(n.value) is int for n in ast.walk(node))
+
+
+def _compile_expr(expr, path: str):
+    """Compile one numeric expression in ``k`` and ``a``.
+
+    Only numbers, ``k``, ``a``, ``pi``, ``j``, arithmetic operators and
+    keyword-free calls of the functions in ``_EXPR_NAMES`` pass; anything
+    else (attributes, subscripts, lambdas, comprehensions, a bare function
+    name) is a ConfigError naming ``path``, so a config can never run code.
+    A power of integers is taken in floats: exact integer powers such as
+    ``9**9**9**9`` would run for ever, float ones overflow at once.
+    """
     try:
-        return eval(expr, {"__builtins__": {}}, {**_EXPR_NAMES, **vars})
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not an expression: {expr!r}") from exc
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, _EXPR_NODES)
+                or isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)
+                or isinstance(node, ast.Name) and (callable(_EXPR_NAMES.get(node.id))
+                                                   if id(node) in called
+                                                   else node.id in _EXPR_VALUES)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and not node.keywords):
+            raise ConfigError(f"{path}: {type(node).__name__} not allowed in {expr!r}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _integer_only(node):
+            for leaf in ast.walk(node):
+                if isinstance(leaf, ast.Constant):
+                    leaf.value = float(leaf.value)
+    return compile(tree, path, "eval")
+
+
+def _eval_expr(code, **variables):
+    try:
+        return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **variables})
     except Exception as exc:
-        raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+        raise ConfigError(f"cannot evaluate {code.co_filename}: {exc}") from exc
+
+
+def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
+    """Compile the expressions of a model section, so a bad one is a
+    ConfigError naming its key, and return the builder of its field."""
+    grid, a = build_kgrid(spec), spec.lattice_constant
+    if "angles" in model:
+        codes = {key: _compile_expr(expr, f"model.angles.{key}")
+                 for key, expr in model["angles"].items()}
+
+        def angle(key):
+            code = codes.get(key)
+            return None if code is None else (
+                lambda k: np.broadcast_to(_eval_expr(code, k=k, a=a), np.shape(k)).astype(float))
+
+        angles = TwoBandAngles(*map(angle, ("theta", "phi", "dtheta", "dphi")))
+        return lambda: two_band_field(angles, grid, name="angles")
+    if "hamiltonian" in model:
+        table, nb = model["hamiltonian"], spec.n_bands
+        if (not isinstance(table, list) or len(table) != nb
+                or any(not isinstance(row, list) or len(row) != nb for row in table)):
+            raise ConfigError(f"model.hamiltonian must be a {nb}x{nb} matrix of expressions")
+        codes = [[_compile_expr(expr, f"model.hamiltonian[{i}][{j}]")
+                  for j, expr in enumerate(row)] for i, row in enumerate(table)]
+
+        def h(k):
+            return np.array([[complex(_eval_expr(code, k=k, a=a)) for code in row]
+                             for row in codes])
+
+        return lambda: eigenfield_from_hamiltonian(h, grid, name="hamiltonian")
+    preset = presets.PRESETS[model["preset"]]
+    return lambda: preset.builder(spec, **model.get("params", {}))
 
 
 # -- schema ------------------------------------------------------------------
@@ -56,19 +126,36 @@ def _check_keys(section: dict, path: str, allowed: dict):
             raise ConfigError(f"missing required key {path}.{key}")
 
 
-def _positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{path} must be a positive integer")
+def _integer(value, path: str, low: int = 1, high=None) -> int:
+    """An integer in low..high-1 (no upper bound when ``high`` is None)."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or high is not None and value >= high):
+        raise ConfigError(f"{path} must be an integer >= {low}" if high is None
+                          else f"{path} must be an integer in {low}..{high - 1}")
     return value
 
 
-def _positive_number(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{path} must be a positive number")
+def _number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path} must be a number")
     return float(value)
 
 
+def _check_task_params(params: dict, table: dict, spec: LatticeSpec):
+    _check_keys(params, "task.params", dict.fromkeys(table, False))
+    for key, value in params.items():
+        bound, path = table[key][1], f"task.params.{key}"
+        if bound is None:
+            continue
+        if bound.many and not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        for item in value if bound.many else [value]:
+            _integer(item, path, bound.low, bound.high and getattr(spec, bound.high))
+
+
 def load_config(path: Path) -> dict:
+    """Read and validate a run config; every error is a ConfigError naming
+    the dotted key, raised before anything is written."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -77,12 +164,15 @@ def load_config(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _check_keys(cfg, "config", {"lattice": True, "model": True, "task": True,
-                                "output": False, "seed": False, "workers": False})
+                                "output": False, "seed": False})
     lat = cfg["lattice"]
     _check_keys(lat, "lattice", {"N": True, "a": True, "n_bands": True, "origin": False})
-    _positive_int(lat["N"], "lattice.N")
-    _positive_number(lat["a"], "lattice.a")
-    _positive_int(lat["n_bands"], "lattice.n_bands")
+    _integer(lat["N"], "lattice.N")
+    if _number(lat["a"], "lattice.a") <= 0:
+        raise ConfigError("lattice.a must be a positive number")
+    _integer(lat["n_bands"], "lattice.n_bands")
+    _number(lat.get("origin", 0.0), "lattice.origin")
+    spec = _lattice(cfg)
 
     model = cfg["model"]
     _check_keys(model, "model", {"preset": False, "params": False,
@@ -92,13 +182,26 @@ def load_config(path: Path) -> dict:
     if "angles" in model:
         _check_keys(model["angles"], "model.angles",
                     {"theta": True, "phi": True, "dtheta": False, "dphi": False})
-    if "preset" in model and model["preset"] not in presets.PRESETS:
+    if "preset" in model and (not isinstance(model["preset"], str)
+                              or model["preset"] not in presets.PRESETS):
         raise ConfigError(f"model.preset must be one of {sorted(presets.PRESETS)}")
+    keywords = presets.PRESETS[model["preset"]].params if "preset" in model else ()
+    _check_keys(model.get("params", {}), "model.params", dict.fromkeys(keywords, False))
+    for key, value in model.get("params", {}).items():
+        _number(value, f"model.params.{key}")
+    _model_builder(model, spec)
 
     task = cfg["task"]
     _check_keys(task, "task", {"name": True, "params": False})
-    if task["name"] not in TASKS:
-        raise ConfigError(f"task.name must be one of {TASKS}")
+    if not isinstance(task["name"], str) or task["name"] not in TASKS:
+        raise ConfigError(f"task.name must be one of {tuple(TASKS)}")
+    entry = TASKS[task["name"]]
+    kind = model.get("preset") or ("angles" if "angles" in model else "hamiltonian")
+    if entry.models is not None and kind not in entry.models:
+        where = f"model.preset {kind!r}" if "preset" in model else f"model.{kind}"
+        raise ConfigError(f"{where} cannot run task {task['name']}, which accepts "
+                          + ", ".join(entry.models))
+    _check_task_params(task.get("params", {}), entry.params, spec)
     if "output" in cfg:
         _check_keys(cfg["output"], "output", {"directory": True})
     if "seed" in cfg and (not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool)):
@@ -113,83 +216,55 @@ def _lattice(cfg: dict) -> LatticeSpec:
 
 
 def build_model_field(cfg: dict, spec: LatticeSpec) -> BlochField:
-    model = cfg["model"]
-    grid = build_kgrid(spec)
-    if "angles" in model:
-        ang = model["angles"]
-        a = spec.lattice_constant
-
-        def mk(expr):
-            return lambda k: np.broadcast_to(_eval_expr(expr, k=k, a=a), np.shape(k)).astype(float)
-
-        angles = TwoBandAngles(
-            theta=mk(ang["theta"]), phi=mk(ang["phi"]),
-            dtheta=mk(ang["dtheta"]) if "dtheta" in ang else None,
-            dphi=mk(ang["dphi"]) if "dphi" in ang else None)
-        return two_band_field(angles, grid, name="angles")
-    if "hamiltonian" in model:
-        table = model["hamiltonian"]
-        nb = spec.n_bands
-        if (not isinstance(table, list) or len(table) != nb
-                or any(len(row) != nb for row in table)):
-            raise ConfigError(f"model.hamiltonian must be a {nb}x{nb} matrix of expressions")
-
-        def h(k):
-            return np.array([[complex(_eval_expr(e, k=k, a=spec.lattice_constant))
-                              for e in row] for row in table])
-
-        return eigenfield_from_hamiltonian(h, grid, name="hamiltonian")
-
-    name = model["preset"]
-    params = model.get("params", {})
-    if name == "identity":
-        return presets.identity_field(spec)
-    if name == "two-band-generic":
-        return presets.generic_two_band(spec, **params)
-    if name == "graphene-ribbon":
-        return presets.graphene_loop(spec, **params)
-    raise ConfigError(f"preset {name!r} does not define a 1D coefficient field; "
-                      "use it with its dedicated task")
+    return _model_builder(cfg["model"], spec)()
 
 
 # -- tasks -------------------------------------------------------------------
 
-def _task_crm(field, params, outdir, seed, workers):
-    pm = position_matrix(field)
-    rows = io.write_csv(outdir / "crm.csv", ("m", "p", "n", "q", "re", "im"),
-                        io.position_matrix_rows(pm))
+class Context(NamedTuple):
+    """A task handler's one argument.  Handlers return (outputs, tolerances);
+    outputs lists (file name, CSV header, rows) in manifest order."""
+
+    cfg: dict
+    spec: LatticeSpec
+    params: dict
+    seed: int
+    workers: int
+
+    def field(self) -> BlochField:
+        return build_model_field(self.cfg, self.spec)
+
+
+def _task_crm(ctx: Context):
+    pm = position_matrix(ctx.field())
     print(f"hermiticity check: pass (defect {pm.hermiticity_defect:.3e})")
-    return [("crm.csv", rows)], {"crm_hermiticity": 1e-10}
+    return ([("crm.csv", ("m", "p", "n", "q", "re", "im"), io.position_matrix_rows(pm))],
+            {"crm_hermiticity": 1e-10})
 
 
-def _task_connection(field, params, outdir, seed, workers):
-    conn = berry_connection(field)
-    red = reduced_position_matrix(field)
-    r1 = io.write_csv(outdir / "connection.csv", ("p", "m", "n", "re", "im"),
-                      io.connection_rows(conn))
-    r2 = io.write_csv(outdir / "reduced_r.csv", ("p", "m", "n", "re", "im"),
-                      io.connection_rows(red))
-    return [("connection.csv", r1), ("reduced_r.csv", r2)], {"hermiticity": 1e-10}
+def _task_connection(ctx: Context):
+    field = ctx.field()
+    header = ("p", "m", "n", "re", "im")
+    return ([("connection.csv", header, io.connection_rows(berry_connection(field))),
+             ("reduced_r.csv", header, io.connection_rows(reduced_position_matrix(field)))],
+            {"hermiticity": 1e-10})
 
 
-def _task_berry_phase(field, params, outdir, seed, workers):
-    bands = params.get("bands", [params.get("band", 0)])
-    rows = [(b, io.fmt(gauge.berry_phase(field, b))) for b in bands]
-    n = io.write_csv(outdir / "berry_phase.csv", ("band", "theta"), rows)
-    return [("berry_phase.csv", n)], {"zero_overlap": 1e-12}
+def _task_berry_phase(ctx: Context):
+    field, bands = ctx.field(), ctx.params["bands"]
+    rows = [(b, io.fmt(gauge.berry_phase(field, b)))
+            for b in ([ctx.params["band"]] if bands is None else bands)]
+    return [("berry_phase.csv", ("band", "theta"), rows)], {"zero_overlap": 1e-12}
 
 
-def _task_gauge_audit(field, params, outdir, seed, workers):
-    n_seeds = params.get("seeds", 20)
-    modes = params.get("modes", 3)
-    scale = params.get("scale", 0.2)
-    band = params.get("band", 0)
-    kindex = params.get("kindex", 0)
+def _task_gauge_audit(ctx: Context):
+    band, kindex, modes, scale = (ctx.params[key] for key in ("band", "kindex", "modes", "scale"))
+    field = ctx.field()
     conn = berry_connection(field)
     grid = field.grid
 
     def audit_one(s):
-        gauge_seed = seed + s
+        gauge_seed = ctx.seed + s
         diag = gauge.random_gauge_field(field.n_bands, grid, modes, gauge_seed,
                                         scale=scale, diagonal=True)
         full = gauge.random_gauge_field(field.n_bands, grid, modes, gauge_seed + 10_000,
@@ -215,120 +290,142 @@ def _task_gauge_audit(field, params, outdir, seed, workers):
                 gauge.berry_phase(gauge.apply_gauge_to_field(field, diag), band), 1e-9),
         ]
 
-    reports = [r for chunk in io.ordered_map(audit_one, range(n_seeds), workers)
+    reports = [r for chunk in io.ordered_map(audit_one, range(ctx.params["seeds"]), ctx.workers)
                for r in chunk]
-    n = io.write_csv(outdir / "gauge_audit.csv",
-                     ("name", "band", "seed", "before_re", "before_im",
-                      "after_re", "after_im", "delta", "invariant"),
-                     io.report_rows(reports))
-    return [("gauge_audit.csv", n)], {"diagonal_loop": 1e-9, "berry_phase": 1e-9,
-                                      "trace_loop": 10.0 / grid.n ** 2}
+    header = ("name", "band", "seed", "before_re", "before_im", "after_re", "after_im",
+              "delta", "invariant")
+    return ([("gauge_audit.csv", header, io.report_rows(reports))],
+            {"diagonal_loop": 1e-9, "berry_phase": 1e-9, "trace_loop": 10.0 / grid.n ** 2})
 
 
-def _frequencies(params):
-    freq = params.get("frequencies", {"start": 0.5, "stop": 4.0, "count": 176})
-    if isinstance(freq, dict):
-        _check_keys(freq, "task.params.frequencies",
-                    {"start": True, "stop": True, "count": True})
-        return np.linspace(freq["start"], freq["stop"], freq["count"])
-    return np.asarray(freq, dtype=float)
-
-
-def _task_shift_current(field, params, outdir, seed, workers):
-    if field.energies is None:
-        raise ConfigError("task shift-current needs a model with band energies")
-    fillings = params.get("fillings")
+def _task_shift_current(ctx: Context):
+    field, params = ctx.field(), ctx.params
+    fillings = params["fillings"]
     if fillings is None:
         # fill the energetically lower band(s) at half filling of the set
         order = np.argsort(field.energies[0])
         fillings = np.zeros(field.n_bands)
         fillings[order[: field.n_bands // 2]] = 1.0
-    occ = transport.OccupationSpec(np.asarray(fillings, dtype=float))
-    drive = transport.DriveSpec(frequencies=_frequencies(params),
-                                amplitude=params.get("amplitude", 1.0),
-                                broadening=params.get("eta", 0.02))
-    result = transport.shift_current_spectrum(field, occ, drive)
-    n = io.write_csv(outdir / "spectrum.csv", ("omega", "J_s", "skipped_fraction"),
-                     io.spectrum_rows(result))
+    freq = params["frequencies"]
+    if isinstance(freq, dict):
+        _check_keys(freq, "task.params.frequencies",
+                    {"start": True, "stop": True, "count": True})
+        freq = np.linspace(freq["start"], freq["stop"], freq["count"])
+    drive = transport.DriveSpec(frequencies=np.asarray(freq, dtype=float),
+                                amplitude=params["amplitude"], broadening=params["eta"])
+    result = transport.shift_current_spectrum(
+        field, transport.OccupationSpec(np.asarray(fillings, dtype=float)), drive)
     print(f"skipped shift-undefined fraction: {result.skipped_fraction:.4f}")
-    return [("spectrum.csv", n)], {"shift_modulus": transport.SHIFT_MODULUS_TOL}
+    return ([("spectrum.csv", ("omega", "J_s", "skipped_fraction"), io.spectrum_rows(result))],
+            {"shift_modulus": transport.SHIFT_MODULUS_TOL})
 
 
-def _task_pump(cfg, spec, params, outdir, seed, workers):
-    name = cfg["model"].get("preset")
-    if name != "qwz-pump":
-        raise ConfigError("task pump requires model.preset = qwz-pump")
-    mu = cfg["model"].get("params", {}).get("mu", -1.0)
-    n_lambda = params.get("n_lambda", spec.n_cells)
-    band = params.get("band", 0)
-    family = presets.qwz_pump(spec, n_lambda, mu=mu)
+def _task_pump(ctx: Context):
+    band = ctx.params["band"]
+    family = presets.qwz_pump(ctx.spec, ctx.params["n_lambda"] or ctx.spec.n_cells,
+                              **ctx.cfg["model"].get("params", {}))
     pump = transport.pumped_charge(family, band)
     oracle = transport.chern_number(family, band)
-    r1 = io.write_csv(outdir / "pump.csv", ("lambda", "P", "Q_cumulative"),
-                      io.pump_rows(pump))
-    r2 = io.write_csv(outdir / "oracle.csv", ("preset", "band", "chern", "residue"),
-                      [("qwz-pump", band, oracle.value, io.fmt(oracle.residue))])
     print(f"pumped charge {pump.delta_q:+.6f}, plaquette invariant {oracle.value:+d}")
-    return [("pump.csv", r1), ("oracle.csv", r2)], {"chern_residue": 0.05}
+    return ([("pump.csv", ("lambda", "P", "Q_cumulative"), io.pump_rows(pump)),
+             ("oracle.csv", ("preset", "band", "chern", "residue"),
+              [("qwz-pump", band, oracle.value, io.fmt(oracle.residue))])],
+            {"chern_residue": 0.05})
 
 
-def _task_divergence(cfg, spec, params, outdir, seed, workers):
-    windows = params.get("windows", [8, 16, 32, 64, 128, 256])
-    centering = params.get("centering", divergence.FROM_ORIGIN)
-    samples = params.get("samples", divergence.DEFAULT_SAMPLES)
-    a = spec.lattice_constant
+def _task_divergence(ctx: Context):
+    params, a = ctx.params, ctx.spec.lattice_constant
     cell = divergence.SampledCellFunction.from_callable(
-        lambda r: np.sin(2.0 * np.pi * r / a) ** 2, a, samples).normalized()
-    study = divergence.truncated_position_expectation(cell, 0.0, windows, centering)
-    audit = divergence.translation_audit(cell, 0.0, params.get("window", 32), centering)
-    r1 = io.write_csv(outdir / "truncation.csv", ("W", "value"), io.truncation_rows(study))
-    r2 = io.write_csv(outdir / "translation.csv", ("before", "after", "predicted_shift"),
-                      [(io.fmt(audit.before), io.fmt(audit.after), io.fmt(audit.predicted_shift))])
+        lambda r: np.sin(2.0 * np.pi * r / a) ** 2, a, params["samples"]).normalized()
+    study = divergence.truncated_position_expectation(cell, 0.0, params["windows"],
+                                                      params["centering"])
+    audit = divergence.translation_audit(cell, 0.0, params["window"], params["centering"])
     print(f"truncation slope {study.slope:.6f} (R^2 {study.r_squared:.6f}); "
           f"translation shift {audit.measured_shift:+.6f}")
-    return [("truncation.csv", r1), ("translation.csv", r2)], {"fit_r2": 0.999}
+    return ([("truncation.csv", ("W", "value"), io.truncation_rows(study)),
+             ("translation.csv", ("before", "after", "predicted_shift"),
+              [(io.fmt(audit.before), io.fmt(audit.after), io.fmt(audit.predicted_shift))])],
+            {"fit_r2": 0.999})
 
 
-def _task_incompleteness(cfg, spec, params, outdir, seed, workers):
-    n_max_list = params.get("n_max_list", [1, 2, 4, 8, 16, 32, 64])
-    samples = params.get("samples", divergence.DEFAULT_SAMPLES)
-    a = spec.lattice_constant
+def _task_incompleteness(ctx: Context):
+    params, a = ctx.params, ctx.spec.lattice_constant
     target = divergence.SampledCellFunction.from_callable(
-        lambda r: np.where(r > a / 2.0, 1.0, 0.0), a, samples).normalized()
-    pairs = [(nm, divergence.projection_residual(target, nm)) for nm in n_max_list]
-    r1 = io.write_csv(outdir / "residual.csv", ("n_max", "residual"),
-                      io.residual_rows(pairs))
-    ortho = params.get("orthogonality", {"n_max": 2, "N": 4})
+        lambda r: np.where(r > a / 2.0, 1.0, 0.0), a, params["samples"]).normalized()
+    pairs = [(nm, divergence.projection_residual(target, nm)) for nm in params["n_max_list"]]
+    ortho = params["orthogonality"]
     _check_keys(ortho, "task.params.orthogonality", {"n_max": True, "N": True})
-    _, worst = divergence.gapped_basis_gram(ortho["n_max"], ortho["N"], a, samples)
-    r2 = io.write_csv(outdir / "orthogonality.csv", ("n_max", "N", "worst_off_diagonal"),
-                      [(ortho["n_max"], ortho["N"], io.fmt(worst))])
+    _, worst = divergence.gapped_basis_gram(ortho["n_max"], ortho["N"], a, params["samples"])
     print(f"gap-supported residuals all {pairs[-1][1]:.12f}; worst Gram off-diagonal {worst:.3e}")
-    return [("residual.csv", r1), ("orthogonality.csv", r2)], {"gram_off_diag": 1e-10}
+    return ([("residual.csv", ("n_max", "residual"), io.residual_rows(pairs)),
+             ("orthogonality.csv", ("n_max", "N", "worst_off_diagonal"),
+              [(ortho["n_max"], ortho["N"], io.fmt(worst))])],
+            {"gram_off_diag": 1e-10})
+
+
+class Int(NamedTuple):
+    """Bound of an integer task parameter: at least ``low`` and below the
+    LatticeSpec field named ``high`` (unbounded when None); ``many`` wants
+    a list of such integers."""
+
+    low: int
+    high: Optional[str] = None
+    many: bool = False
+
+
+class Task(NamedTuple):
+    """A task's handler, the model kinds it runs on (None: any, unused),
+    and its task.params keys, each with its (default, Int bound or None)."""
+
+    handler: Callable[[Context], tuple]
+    models: Optional[tuple]
+    params: dict
+
+
+_FIELD_MODELS = ("identity", "two-band-generic", "graphene-ribbon", "angles", "hamiltonian")
+_ENERGY_MODELS = ("two-band-generic", "graphene-ribbon", "hamiltonian")
+_BAND, _COUNT = Int(0, "n_bands"), Int(1)
+_SAMPLES = (divergence.DEFAULT_SAMPLES, Int(divergence.MIN_SAMPLES))
+
+TASKS = {
+    "crm": Task(_task_crm, _FIELD_MODELS, {}),
+    "connection": Task(_task_connection, _FIELD_MODELS, {}),
+    "berry-phase": Task(_task_berry_phase, _FIELD_MODELS,
+                        {"band": (0, _BAND), "bands": (None, Int(0, "n_bands", many=True))}),
+    "gauge-audit": Task(_task_gauge_audit, _FIELD_MODELS,
+                        {"seeds": (20, _COUNT), "modes": (3, Int(0)), "scale": (0.2, None),
+                         "band": (0, _BAND), "kindex": (0, Int(0, "n_cells"))}),
+    "shift-current": Task(_task_shift_current, _ENERGY_MODELS,
+                          {"fillings": (None, None), "amplitude": (1.0, None),
+                           "eta": (0.02, None),
+                           "frequencies": ({"start": 0.5, "stop": 4.0, "count": 176}, None)}),
+    "pump": Task(_task_pump, ("qwz-pump",), {"n_lambda": (None, _COUNT), "band": (0, _BAND)}),
+    "divergence-demo": Task(_task_divergence, None,
+                            {"windows": ([8, 16, 32, 64, 128, 256], Int(1, many=True)),
+                             "window": (32, _COUNT), "centering": (divergence.FROM_ORIGIN, None),
+                             "samples": _SAMPLES}),
+    "incompleteness": Task(_task_incompleteness, None,
+                           {"n_max_list": ([1, 2, 4, 8, 16, 32, 64], Int(1, many=True)),
+                            "orthogonality": ({"n_max": 2, "N": 4}, None),
+                            "samples": _SAMPLES}),
+}
 
 
 def run(cfg: dict, outdir_override=None, seed_override=None, workers: int = 1,
         verbose: bool = False) -> int:
+    """Run the task of a config that :func:`load_config` accepted."""
     spec = _lattice(cfg)
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     default_dir = os.environ.get("CRMATRIX_OUTDIR", "crmatrix-out")
     outdir = Path(outdir_override or cfg.get("output", {}).get("directory", default_dir))
     outdir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]["name"]
-    params = cfg["task"].get("params", {})
-
-    if task == "pump":
-        files, tolerances = _task_pump(cfg, spec, params, outdir, seed, workers)
-    elif task == "divergence-demo":
-        files, tolerances = _task_divergence(cfg, spec, params, outdir, seed, workers)
-    elif task == "incompleteness":
-        files, tolerances = _task_incompleteness(cfg, spec, params, outdir, seed, workers)
-    else:
-        field = build_model_field(cfg, spec)
-        handler = {"crm": _task_crm, "connection": _task_connection,
-                   "berry-phase": _task_berry_phase, "gauge-audit": _task_gauge_audit,
-                   "shift-current": _task_shift_current}[task]
-        files, tolerances = handler(field, params, outdir, seed, workers)
+    entry = TASKS[task]
+    params = {key: default for key, (default, _) in entry.params.items()}
+    ctx = Context(cfg, spec, {**params, **cfg["task"].get("params", {})}, seed, workers)
+    outputs, tolerances = entry.handler(ctx)
+    files = [(name, io.write_csv(outdir / name, header, rows))
+             for name, header, rows in outputs]
 
     io.write_manifest(outdir, task, cfg, seed,
                       grids={"N": spec.n_cells, "a": spec.lattice_constant,
@@ -342,7 +439,7 @@ def run(cfg: dict, outdir_override=None, seed_override=None, workers: int = 1,
 
 
 def list_presets() -> str:
-    lines = [f"{name:18s} {desc}" for name, desc in presets.PRESETS.items()]
+    lines = [f"{name:18s} {preset.description}" for name, preset in presets.PRESETS.items()]
     return "\n".join(lines)
 
 

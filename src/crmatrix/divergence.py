@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_SAMPLES = 2048
+#: fewest trapezoid panels per cell a SampledCellFunction accepts
+MIN_SAMPLES = 64
 
 #: window placements for the truncation study; "from-origin" exhibits the
 #: monotone growth, "centered" can hide it by symmetry.
@@ -40,8 +42,8 @@ class SampledCellFunction:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if len(vals) < 65:
-            raise ValueError("need at least 64 panels per cell")
+        if len(vals) < MIN_SAMPLES + 1:
+            raise ValueError(f"need at least {MIN_SAMPLES} panels per cell")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -198,26 +200,19 @@ def gapped_basis_gram(n_max: int, n_cells: int, lattice_constant: float = 1.0,
     """Gram matrix of the Bloch-extended gapped basis over the whole chain.
 
     Basis label (n, p): cell function n carried across N cells with phases
-    e^{i k_p R_j}, sampled on the full chain and integrated by trapezoid.
-    Returns (gram, worst_off_diagonal); the Gram target is N on the
-    diagonal and 0 elsewhere.
+    e^{i k_p R_j}; label (n, p) is row n*N + p.  Every cell function
+    vanishes at both cell edges, so the trapezoid integral over the chain
+    is the sum of per-cell integrals and the Gram matrix is exactly the
+    factor rule: cell Gram (x) site phase sum.  Returns
+    (gram, worst_off_diagonal); the Gram target is N on the diagonal and 0
+    elsewhere.
     """
     a = lattice_constant
-    cell_basis = gapped_cell_basis(n_max, a, n_samples)
-    n_chain = n_cells * n_samples + 1
+    cell = gapped_cell_basis(n_max, a, n_samples)
+    cell_gram = np.trapezoid(cell[:, None, :] * cell[None, :, :], dx=a / n_samples, axis=2)
     k_points = np.arange(n_cells) * 2.0 * np.pi / (n_cells * a)
     sites = np.arange(n_cells) * a
-
-    funcs = np.zeros((n_max * n_cells, n_chain), dtype=complex)
-    for n in range(n_max):
-        for p in range(n_cells):
-            row = np.zeros(n_chain, dtype=complex)
-            for j in range(n_cells):
-                sl = slice(j * n_samples, j * n_samples + n_samples + 1)
-                row[sl] = np.exp(1j * k_points[p] * sites[j]) * cell_basis[n]
-            funcs[n * n_cells + p] = row
-
-    dx = a / n_samples
-    gram = np.trapezoid(funcs[:, None, :].conj() * funcs[None, :, :], dx=dx, axis=2)
+    phases = np.exp((1j * k_points[:, None]) * sites[None, :])
+    gram = np.kron(cell_gram, phases.conj() @ phases.T)
     off = gram - np.diag(np.diag(gram))
     return gram, float(np.max(np.abs(off)))

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroOverlap
-from .model import BlochField, KGrid
-from .rmatrix import central_difference
+from .model import BlochField, KGrid, stack_unitarity_defect
+from .rmatrix import _values, central_difference, link_overlaps
 
 ZERO_OVERLAP_TOL = 1e-12
 
@@ -53,9 +53,7 @@ class GaugeField:
         return self.unitaries.shape[1]
 
     def unitarity_defect(self) -> float:
-        eye = np.eye(self.n_bands)
-        g = np.einsum("plm,pln->pmn", self.unitaries.conj(), self.unitaries)
-        return float(np.max(np.abs(g - eye)))
+        return stack_unitarity_defect(self.unitaries)
 
 
 def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
@@ -158,9 +156,7 @@ def berry_phase(field: BlochField, band: int) -> float:
     """
     if field.n_k < 3:
         raise ValueError("need at least 3 grid points for a phase loop")
-    cols = field.coeffs[:, :, band]
-    nxt = np.roll(cols, -1, axis=0)
-    overlaps = np.einsum("pl,pl->p", cols.conj(), nxt)
+    overlaps = link_overlaps(field.coeffs[:, :, band], axis=0)
     small = np.abs(overlaps) < ZERO_OVERLAP_TOL
     if np.any(small):
         p = int(np.argmax(small))
@@ -186,10 +182,6 @@ def trace_loop(matrix_field: np.ndarray, grid: KGrid) -> float:
     """Closed-loop Riemann sum of the trace, fixed ascending-p order."""
     vals = _values(matrix_field)
     return float(np.real(np.sum(np.trace(vals, axis1=1, axis2=2)) * grid.spacing))
-
-
-def _values(matrix_field) -> np.ndarray:
-    return matrix_field.values if hasattr(matrix_field, "values") else np.asarray(matrix_field)
 
 
 @dataclass(frozen=True)

@@ -150,9 +150,7 @@ class BlochField:
         return self.coeffs[kindex][:, band]
 
     def unitarity_defect(self) -> float:
-        eye = np.eye(self.n_bands)
-        g = np.einsum("plm,pln->pmn", self.coeffs.conj(), self.coeffs)
-        return float(np.max(np.abs(g - eye)))
+        return stack_unitarity_defect(self.coeffs)
 
     def validate(self, tol: float = UNITARITY_TOL) -> None:
         defect = self.unitarity_defect()
@@ -160,15 +158,33 @@ class BlochField:
             raise ValueError(f"coefficient matrices not unitary: defect {defect:.3e} > {tol:g}")
 
 
-def two_band_field(angles: TwoBandAngles, grid: KGrid, energies: Optional[np.ndarray] = None,
-                   name: str = "two-band") -> BlochField:
-    """Closed-form two-band ribbon from Bloch-sphere angles.
+def stack_unitarity_defect(mats: np.ndarray) -> float:
+    """Largest entry of |M^dag M - 1| over a (P, NB, NB) stack of matrices."""
+    g = np.einsum("plm,pln->pmn", mats.conj(), mats)
+    return float(np.max(np.abs(g - np.eye(mats.shape[1]))))
+
+
+def two_band_columns(theta, phi) -> np.ndarray:
+    """Two-band column matrices, shape ``theta.shape + (2, 2)``.
 
     Column 0 is (cos(t/2), sin(t/2) e^{i phi}); column 1 is
     (-sin(t/2) e^{-i phi}, cos(t/2)).  The second entry of column 1 uses
     cos(t/2): that is the unique completion making the columns orthonormal
     and reproducing the closed-form band overlaps.
     """
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    coeffs = np.empty(np.shape(c) + (2, 2), dtype=complex)
+    coeffs[..., 0, 0] = c
+    coeffs[..., 1, 0] = s * np.exp(1j * phi)
+    coeffs[..., 0, 1] = -s * np.exp(-1j * phi)
+    coeffs[..., 1, 1] = c
+    return coeffs
+
+
+def two_band_field(angles: TwoBandAngles, grid: KGrid, energies: Optional[np.ndarray] = None,
+                   name: str = "two-band") -> BlochField:
+    """Closed-form two-band ribbon from Bloch-sphere angles; columns as in
+    :func:`two_band_columns`."""
     k = grid.points
     th = np.asarray(angles.theta(k), dtype=float)
     ph = np.asarray(angles.phi(k), dtype=float)
@@ -179,16 +195,11 @@ def two_band_field(angles: TwoBandAngles, grid: KGrid, energies: Optional[np.nda
     if grid.spec.n_bands != 2:
         raise ValueError("two_band_field requires a 2-band lattice spec")
 
-    c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-    eip, eim = np.exp(1j * ph), np.exp(-1j * ph)
-    coeffs = np.empty((grid.n, 2, 2), dtype=complex)
-    coeffs[:, 0, 0] = c
-    coeffs[:, 1, 0] = s * eip
-    coeffs[:, 0, 1] = -s * eim
-    coeffs[:, 1, 1] = c
-
+    coeffs = two_band_columns(th, ph)
     dcoeffs = None
     if angles.has_derivatives:
+        c, s = np.cos(th / 2.0), np.sin(th / 2.0)
+        eip, eim = np.exp(1j * ph), np.exp(-1j * ph)
         dth = np.asarray(angles.dtheta(k), dtype=float)
         dph = np.asarray(angles.dphi(k), dtype=float)
         dcoeffs = np.empty_like(coeffs)
@@ -216,16 +227,10 @@ def graphene_phases(kx, ky, bond: float = 1.0):
     """
     if not bond > 0:
         raise ValueError("bond length must be > 0")
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    f = (np.exp(1j * kx * bond)
-         + np.exp(1j * (-0.5 * kx + 0.5 * np.sqrt(3.0) * ky) * bond)
-         + np.exp(1j * (-0.5 * kx - 0.5 * np.sqrt(3.0) * ky) * bond))
+    f = honeycomb_phasor_sum(kx, ky, bond)
     if np.any(np.abs(f) < 1e-12):
         raise ZeroDivisionError("phasor sum vanishes (band touching point); phase undefined")
-    theta = np.full_like(kx, np.pi / 2.0)
-    phi = -np.angle(f)
-    return theta, phi
+    return np.full(f.shape, np.pi / 2.0), -np.angle(f)
 
 
 def honeycomb_phasor_sum(kx, ky, bond: float = 1.0) -> np.ndarray:
@@ -348,13 +353,6 @@ def pump_family_from_angles(theta, phi, grid: KGrid, n_lambda: int,
         raise ValueError("angle families are two-band")
     lambdas = np.arange(n_lambda) / n_lambda
     kk, ll = np.meshgrid(grid.points, lambdas, indexing="ij")
-    th = np.asarray(theta(kk, ll), dtype=float)
-    ph = np.asarray(phi(kk, ll), dtype=float)
-    c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-    eip, eim = np.exp(1j * ph), np.exp(-1j * ph)
-    coeffs = np.empty(kk.shape + (2, 2), dtype=complex)
-    coeffs[..., 0, 0] = c
-    coeffs[..., 1, 0] = s * eip
-    coeffs[..., 0, 1] = -s * eim
-    coeffs[..., 1, 1] = c
+    coeffs = two_band_columns(np.asarray(theta(kk, ll), dtype=float),
+                              np.asarray(phi(kk, ll), dtype=float))
     return PumpFamily(grid=grid, lambdas=lambdas, coeffs=coeffs, name=name)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple, Optional
+
 import numpy as np
 
 from .model import (BlochField, LatticeSpec, PumpFamily, TwoBandAngles,
                     build_kgrid, honeycomb_phasor_sum, pump_family_from_hamiltonian,
-                    two_band_field)
+                    two_band_columns, two_band_field)
 
 #: K point of the honeycomb model in the (kx, ky) convention used here,
 #: for bond length 1: the phasor sum vanishes there.
@@ -65,14 +67,7 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
         raise ZeroDivisionError("loop passes through the band-touching point")
     energy = np.sqrt(mass ** 2 + (hopping * np.abs(f)) ** 2)
     theta = np.arccos(np.clip(mass / energy, -1.0, 1.0))
-    phi = -np.angle(f)
-
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    coeffs = np.empty((n, 2, 2), dtype=complex)
-    coeffs[:, 0, 0] = c
-    coeffs[:, 1, 0] = s * np.exp(1j * phi)
-    coeffs[:, 0, 1] = -s * np.exp(-1j * phi)
-    coeffs[:, 1, 1] = c
+    coeffs = two_band_columns(theta, -np.angle(f))
     energies = np.column_stack([energy, -energy])
     return BlochField(grid=grid, coeffs=coeffs, energies=energies, name="graphene-ribbon")
 
@@ -102,10 +97,29 @@ def qwz_pump(spec: LatticeSpec, n_lambda: int, mu: float = -1.0,
     return fam
 
 
+class Preset(NamedTuple):
+    """A shipped model: ``builder(spec, **params)`` (None when only the
+    divergence tasks construct it), its one-line description, and the
+    builder keywords a config may set as ``model.params``."""
+
+    builder: Optional[Callable]
+    description: str
+    params: tuple = ()
+
+
 PRESETS = {
-    "identity": "constant identity coefficient field; every geometric quantity vanishes",
-    "two-band-generic": "smooth two-band angle field with analytic derivatives and closed-form overlaps",
-    "graphene-ribbon": "honeycomb two-band loop around the band-touching point; phase winds once",
-    "qwz-pump": "two-band (k, lambda) pump cycle with integer quantized charge transport",
-    "vacuum-gap-chain": "half-cell-supported orthonormal chain basis exhibiting truncation growth and the representation gap",
+    "identity": Preset(identity_field,
+                       "constant identity coefficient field; every geometric quantity vanishes"),
+    "two-band-generic": Preset(generic_two_band,
+                               "smooth two-band angle field with analytic derivatives and closed-form overlaps",
+                               ("theta0", "theta_amp", "winding", "phi_amp", "theta_phase",
+                                "phi_phase", "gap", "bandwidth")),
+    "graphene-ribbon": Preset(graphene_loop,
+                              "honeycomb two-band loop around the band-touching point; phase winds once",
+                              ("bond", "radius", "hopping", "mass")),
+    "qwz-pump": Preset(qwz_pump,
+                       "two-band (k, lambda) pump cycle with integer quantized charge transport",
+                       ("mu",)),
+    "vacuum-gap-chain": Preset(None,
+                               "half-cell-supported orthonormal chain basis exhibiting truncation growth and the representation gap"),
 }

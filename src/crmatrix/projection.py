@@ -58,14 +58,13 @@ def pair_inner_product(field: BlochField, left: tuple, right: tuple) -> complex:
 
 def embedded_gram(field: BlochField) -> np.ndarray:
     """Gram matrix of all NB*N embedded vectors; identity iff the
-    factorisation preserves the inner product structure."""
+    factorisation preserves the inner product structure.  Row m*N + p is
+    the Kronecker embedding of band factor (m, p) and site factor p."""
     spec = field.grid.spec
     nb, nk = field.n_bands, spec.n_cells
-    vecs = np.empty((nb * nk, nb * nk), dtype=complex)
-    for m in range(nb):
-        for p in range(nk):
-            vecs[m * nk + p] = kron_embed(band_factor(field, m, p),
-                                          site_factor(spec, field.grid, p))
+    sites = site_factor_frame(spec, field.grid).T  # (k index p, site j)
+    bands = field.coeffs.transpose(2, 0, 1)  # (band m, k index p, orbital i)
+    vecs = (bands[:, :, :, None] * sites[None, :, None, :]).reshape(nb * nk, nb * nk)
     return vecs.conj() @ vecs.T
 
 
@@ -96,9 +95,18 @@ def wannier_inverse(field: BlochField, band: int, orbital: int) -> np.ndarray:
     """Recover a_i^{(n)}(k_p) for all p from the Wannier coefficients:
     (1/N) sum_j w(i, j) e^{+i k_p R_j}."""
     spec = field.grid.spec
-    nk = spec.n_cells
-    out = np.empty(nk, dtype=complex)
-    for p in range(nk):
-        w = np.array([wannier_coefficient(field, band, p, orbital, j) for j in range(nk)])
-        out[p] = np.sum(w * np.exp(1j * field.grid.points[p] * spec.sites)) / nk
-    return out
+    for label, index in (("band", band), ("orbital", orbital)):
+        if not 0 <= index < field.n_bands:
+            raise IndexError(f"{label} {index} out of range 0..{field.n_bands - 1}")
+    k = field.grid.points[:, None]
+    amp = field.coeffs[:, orbital, band][:, None]
+    phase = np.exp((-1j * k) * spec.sites[None, :])
+    inverse = np.exp((1j * k) * spec.sites[None, :])
+    # w(p, j) equal to wannier_coefficient's bit for bit: numpy's vectorised
+    # complex multiply rounds unlike its scalar one and by operand order, so
+    # w is formed in real arithmetic and ``inverse`` is named (an unnamed
+    # temporary is multiplied in place with the operands swapped)
+    w = np.empty_like(phase)
+    w.real = amp.real * phase.real - amp.imag * phase.imag
+    w.imag = amp.real * phase.imag + amp.imag * phase.real
+    return np.sum(w * inverse, axis=1) / spec.n_cells

@@ -54,6 +54,11 @@ class ConnectionField:
         return float(np.max(np.abs(self.values - self.values.conj().transpose(0, 2, 1))))
 
 
+def _values(matrix_field) -> np.ndarray:
+    """The k-indexed matrices of a :class:`ConnectionField` or a plain array."""
+    return matrix_field.values if hasattr(matrix_field, "values") else np.asarray(matrix_field)
+
+
 def berry_connection(field: BlochField) -> ConnectionField:
     """Berry connection A_{m,n}(k_p) = sum_l conj(a_l^{(m)}) i d_k a_l^{(n)}.
 
@@ -63,15 +68,13 @@ def berry_connection(field: BlochField) -> ConnectionField:
     kept on the returned field; the analytic path is Hermitian by
     construction and is not touched.
     """
-    if field.dcoeffs is not None:
-        dc = field.dcoeffs
-        a = 1j * np.einsum("plm,pln->pmn", field.coeffs.conj(), dc)
-        return ConnectionField(grid=field.grid, values=a, kind=BERRY_CONNECTION,
-                               hermiticity_defect=0.0)
-    dc = central_difference(field.coeffs, field.grid.spacing, axis=0)
+    analytic = field.dcoeffs is not None
+    dc = field.dcoeffs if analytic else central_difference(field.coeffs, field.grid.spacing, axis=0)
     a = 1j * np.einsum("plm,pln->pmn", field.coeffs.conj(), dc)
-    defect = float(np.max(np.abs(a - a.conj().transpose(0, 2, 1))))
-    a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    defect = 0.0
+    if not analytic:
+        defect = float(np.max(np.abs(a - a.conj().transpose(0, 2, 1))))
+        a = (a + a.conj().transpose(0, 2, 1)) / 2.0
     return ConnectionField(grid=field.grid, values=a, kind=BERRY_CONNECTION,
                            hermiticity_defect=defect)
 
@@ -88,6 +91,12 @@ def reduced_position_matrix(field: BlochField) -> ConnectionField:
 def band_overlap(field: BlochField, p: int, q: int) -> np.ndarray:
     """Band overlap factor K_{m,n}(k_p, k_q) = sum_l conj(a_l^{(m)}(k_p)) a_l^{(n)}(k_q)."""
     return field.coeffs[p].conj().T @ field.coeffs[q]
+
+
+def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
+    """Link variables sum_l conj(c_l) c_l(next) of one band's columns
+    (orbital index last) with their periodic neighbours along ``axis``."""
+    return np.einsum("...l,...l->...", cols.conj(), np.roll(cols, -1, axis=axis))
 
 
 def position_phase_sum(grid: KGrid) -> np.ndarray:

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (BranchTrackingError, MissingEnergies, UndefinedShift,
                      UnderResolvedGrid)
 from .model import BlochField, PumpFamily
-from .rmatrix import ConnectionField, reduced_position_matrix
+from .rmatrix import (ConnectionField, _values, link_overlaps,
+                      reduced_position_matrix)
 
 SHIFT_MODULUS_TOL = 1e-10
 #: two-sided phase increments larger than this mean the off-diagonal phase
@@ -76,9 +77,7 @@ def lorentzian(x: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _connection(field: BlochField, connection: Optional[ConnectionField]) -> np.ndarray:
-    if connection is not None:
-        return connection.values if hasattr(connection, "values") else np.asarray(connection)
-    return reduced_position_matrix(field).values
+    return _values(connection if connection is not None else reduced_position_matrix(field))
 
 
 def _phase_increments(offdiag: np.ndarray) -> np.ndarray:
@@ -201,13 +200,6 @@ def shift_current_spectrum(field: BlochField, occ: OccupationSpec, drive: DriveS
     return SpectrumResult(frequencies=w, currents=total, skipped_fraction=float(frac))
 
 
-def _wilson_phase(coeffs_slice: np.ndarray, band: int) -> float:
-    """Berry phase of one lambda slice from the wraparound overlap product."""
-    cols = coeffs_slice[:, :, band]
-    overlaps = np.einsum("pl,pl->p", cols.conj(), np.roll(cols, -1, axis=0))
-    return float(-np.angle(np.prod(overlaps)))
-
-
 def _track_branch(raw: np.ndarray) -> np.ndarray:
     """Continuous unwrapping of a sequence of principal-branch phases.
 
@@ -244,8 +236,10 @@ def pumped_charge(family: PumpFamily, band: int) -> PumpResult:
     part cancels between the endpoints: delta Q = -(P(1) - P(0)).
     """
     spec = family.grid.spec
-    raw = np.array([_wilson_phase(family.coeffs[:, j], band)
-                    for j in range(family.n_lambda)])
+    links = link_overlaps(family.coeffs[:, :, :, band], axis=0)
+    # one contiguous product per lambda slice: a strided reduction over
+    # axis 0 multiplies in another order and moves the last bits
+    raw = -np.angle(np.prod(np.ascontiguousarray(links.T), axis=-1))
     closing = raw[0]
     tracked = _track_branch(np.append(raw, closing))
     pol = tracked / (2.0 * np.pi) + spec.rbar / spec.lattice_constant
@@ -269,8 +263,8 @@ def chern_number(family: PumpFamily, band: int) -> ChernResult:
     below 0.05; larger means the grid does not resolve the band geometry.
     """
     cols = family.coeffs[:, :, :, band]
-    uk = np.einsum("pjl,pjl->pj", cols.conj(), np.roll(cols, -1, axis=0))
-    ul = np.einsum("pjl,pjl->pj", cols.conj(), np.roll(cols, -1, axis=1))
+    uk = link_overlaps(cols, axis=0)
+    ul = link_overlaps(cols, axis=1)
     plaq = uk * np.roll(ul, -1, axis=0) * np.roll(uk, -1, axis=1).conj() * ul.conj()
     flux = np.angle(plaq)
     raw = float(np.sum(flux) / (2.0 * np.pi))

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from crmatrix.cli import list_presets, main
 
@@ -245,3 +246,82 @@ def test_csv_seventeen_digit_round_trip(tmp_path):
         p, m, n = int(row[0]), int(row[1]), int(row[2])
         assert float(row[3]) == conn.values[p, m, n].real
         assert float(row[4]) == conn.values[p, m, n].imag
+
+
+def _subclass_escape(marker):
+    """The classic eval-sandbox escape: reach os.system through object's
+    subclasses and touch ``marker``."""
+    return ("[c for c in ().__class__.__base__.__subclasses__() if c.__name__ == '_wrap_close']"
+            f"[0].__init__.__globals__['system']('touch {marker}')")
+
+
+@pytest.mark.parametrize("expr", [
+    "k.real",
+    "k[0]",
+    "(lambda: k)()",
+    "[x for x in (1, 2)][0]",
+    "__import__('os').getcwd()",
+    "sin(x=k)",
+    "'text'",
+    "sin",
+    "escape",
+], ids=["attribute", "subscript", "lambda", "comprehension", "dunder", "keyword",
+        "string", "uncalled-function", "subclass-escape"])
+@pytest.mark.parametrize("model", ["angles", "hamiltonian"])
+def test_expression_outside_grammar_exits_2_before_output(tmp_path, capsys, expr, model):
+    marker = tmp_path / "escaped"
+    if expr == "escape":
+        expr = _subclass_escape(marker)
+    if model == "angles":
+        spec, path = {"angles": {"theta": "1.1", "phi": expr}}, "model.angles.phi"
+    else:
+        spec, path = {"hamiltonian": [["cos(k)", expr], ["0", "-cos(k)"]]}, "model.hamiltonian[0][1]"
+    out = tmp_path / "out"
+    cfg = base_config("connection", out, model=spec, lattice={"N": 4, "a": 1.0, "n_bands": 2})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert path in capsys.readouterr().err
+    assert not marker.exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, model, params, top, key", [
+    ("gauge-audit", None, {"seeds": "x"}, {}, "task.params.seeds"),
+    ("berry-phase", None, {"band": 5}, {}, "task.params.band"),
+    ("pump", {"preset": "qwz-pump"}, {"n_lambda": 0}, {}, "task.params.n_lambda"),
+    ("crm", {"preset": "two-band-generic", "params": {"thetaO": 1.0}}, {}, {},
+     "model.params.thetaO"),
+    ("gauge-audit", None, {"seedz": 3}, {}, "task.params.seedz"),
+    ("crm", None, {}, {"workers": 2}, "config.workers"),
+    ("pump", {"preset": "qwz-pump", "params": {"gap_tol": 1e-3}}, {}, {},
+     "model.params.gap_tol"),
+    ([], None, {}, {}, "task.name"),
+    ("crm", {"preset": ["identity"]}, {}, {}, "model.preset"),
+], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
+        "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list"])
+def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
+    out = tmp_path / "out"
+    cfg = {**base_config(task, out, model=model, **params), **top}
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, preset", [
+    ("crm", "vacuum-gap-chain"), ("crm", "qwz-pump"), ("pump", "two-band-generic"),
+    ("shift-current", "identity"),
+])
+def test_preset_task_mismatch_exits_2_before_output(tmp_path, capsys, task, preset):
+    out = tmp_path / "out"
+    cfg = base_config(task, out, model={"preset": preset})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert f"model.preset '{preset}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_power_is_taken_in_floats(tmp_path, capsys):
+    """An exact integer tower such as 9**9**9**9 would never finish; taken in
+    floats it overflows at once and the run exits 2 naming the key."""
+    cfg = base_config("connection", tmp_path / "out",
+                      model={"angles": {"theta": "1.1", "phi": "k*a + 9**9**9**9"}})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "model.angles.phi" in capsys.readouterr().err

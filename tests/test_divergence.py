@@ -135,3 +135,20 @@ def test_quadrature_converges_quadratically():
 def test_cell_function_requires_minimum_sampling():
     with pytest.raises(ValueError):
         SampledCellFunction(values=np.ones(32), lattice_constant=1.0)
+
+
+def test_gapped_basis_gram_factor_rule_matches_chain_quadrature():
+    # reference: every basis function sampled on the whole chain and
+    # integrated by one trapezoid rule (the factor rule sums per cell)
+    n_max, n_cells, a, samples = 3, 5, 1.7, 256
+    cell = gapped_cell_basis(n_max, a, samples)
+    k = np.arange(n_cells) * 2.0 * np.pi / (n_cells * a)
+    funcs = np.zeros((n_max * n_cells, n_cells * samples + 1), dtype=complex)
+    for n in range(n_max):
+        for p in range(n_cells):
+            for j in range(n_cells):
+                funcs[n * n_cells + p, j * samples:(j + 1) * samples + 1] = \
+                    np.exp(1j * k[p] * j * a) * cell[n]
+    want = np.trapezoid(funcs[:, None, :].conj() * funcs[None, :, :], dx=a / samples, axis=2)
+    gram, _ = gapped_basis_gram(n_max, n_cells, a, samples)
+    assert np.max(np.abs(gram - want)) < 1e-13

@@ -156,3 +156,20 @@ def test_constant_component_map_is_blind_to_k():
     f = identity_field(LatticeSpec(n_cells=4, lattice_constant=1.0, n_bands=2))
     g = embedded_gram(f)
     assert np.max(np.abs(g - np.eye(8))) < 1e-12
+
+
+def test_vectorised_helpers_equal_their_factor_loops():
+    # reference: the per-label loops over the factor helpers, bit for bit
+    f = random_field(n_cells=12, n_bands=3, seed=5)
+    spec, nk = f.grid.spec, f.n_k
+    vecs = np.array([kron_embed(band_factor(f, m, p), site_factor(spec, f.grid, p))
+                     for m in range(3) for p in range(nk)])
+    assert np.array_equal(embedded_gram(f), vecs.conj() @ vecs.T)
+    for band, orbital in ((0, 0), (2, 1)):
+        want = np.array([
+            np.sum(np.array([wannier_coefficient(f, band, p, orbital, j) for j in range(nk)])
+                   * np.exp(1j * f.grid.points[p] * spec.sites)) / nk
+            for p in range(nk)])
+        assert np.array_equal(wannier_inverse(f, band, orbital), want)
+    with pytest.raises(IndexError):
+        wannier_inverse(f, 3, 0)
