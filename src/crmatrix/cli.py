@@ -80,9 +80,21 @@ def _eval_expr(code, **variables):
         raise ConfigError(f"cannot evaluate {code.co_filename}: {exc}") from exc
 
 
+def _library_rule(path: str, rule: Callable, *args, **kwargs):
+    """``rule(*args, **kwargs)``: a library constructor or check applied to
+    config values, whose ValueError or TypeError becomes a ConfigError
+    naming ``path``."""
+    try:
+        return rule(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
     """Compile the expressions of a model section, so a bad one is a
-    ConfigError naming its key, and return the builder of its field."""
+    ConfigError naming its key, and return the builder of its field.  The
+    builder applies the library's own checks to the evaluated model (theta
+    within [0, pi], a Hermitian table, ...), naming the model section."""
     grid, a = build_kgrid(spec), spec.lattice_constant
     if "angles" in model:
         codes = {key: _compile_expr(expr, f"model.angles.{key}")
@@ -94,7 +106,7 @@ def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
                 lambda k: np.broadcast_to(_eval_expr(code, k=k, a=a), np.shape(k)).astype(float))
 
         angles = TwoBandAngles(*map(angle, ("theta", "phi", "dtheta", "dphi")))
-        return lambda: two_band_field(angles, grid, name="angles")
+        return lambda: _library_rule("model.angles", two_band_field, angles, grid, name="angles")
     if "hamiltonian" in model:
         table, nb = model["hamiltonian"], spec.n_bands
         if (not isinstance(table, list) or len(table) != nb
@@ -107,9 +119,10 @@ def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
             return np.array([[complex(_eval_expr(code, k=k, a=a)) for code in row]
                              for row in codes])
 
-        return lambda: eigenfield_from_hamiltonian(h, grid, name="hamiltonian")
+        return lambda: _library_rule("model.hamiltonian", eigenfield_from_hamiltonian, h, grid,
+                                     name="hamiltonian")
     preset = presets.PRESETS[model["preset"]]
-    return lambda: preset.builder(spec, **model.get("params", {}))
+    return lambda: _library_rule("model.params", preset.builder, spec, **model.get("params", {}))
 
 
 # -- schema ------------------------------------------------------------------
@@ -144,13 +157,9 @@ def _number(value, path: str) -> float:
 def _check_task_params(params: dict, table: dict, spec: LatticeSpec):
     _check_keys(params, "task.params", dict.fromkeys(table, False))
     for key, value in params.items():
-        bound, path = table[key][1], f"task.params.{key}"
-        if bound is None:
-            continue
-        if bound.many and not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list")
-        for item in value if bound.many else [value]:
-            _integer(item, path, bound.low, bound.high and getattr(spec, bound.high))
+        check = table[key][1]
+        if check is not None:
+            check(value, f"task.params.{key}", spec)
 
 
 def load_config(path: Path) -> dict:
@@ -185,10 +194,15 @@ def load_config(path: Path) -> dict:
     if "preset" in model and (not isinstance(model["preset"], str)
                               or model["preset"] not in presets.PRESETS):
         raise ConfigError(f"model.preset must be one of {sorted(presets.PRESETS)}")
-    keywords = presets.PRESETS[model["preset"]].params if "preset" in model else ()
-    _check_keys(model.get("params", {}), "model.params", dict.fromkeys(keywords, False))
+    preset = presets.PRESETS.get(model.get("preset"))
+    _check_keys(model.get("params", {}), "model.params",
+                dict.fromkeys(preset.params if preset else (), False))
     for key, value in model.get("params", {}).items():
         _number(value, f"model.params.{key}")
+    kind = model.get("preset") or ("angles" if "angles" in model else "hamiltonian")
+    n_bands = 2 if kind == "angles" else preset and preset.n_bands
+    if n_bands is not None and spec.n_bands != n_bands:
+        raise ConfigError(f"lattice.n_bands must be {n_bands} for model {kind!r}")
     _model_builder(model, spec)
 
     task = cfg["task"]
@@ -196,7 +210,6 @@ def load_config(path: Path) -> dict:
     if not isinstance(task["name"], str) or task["name"] not in TASKS:
         raise ConfigError(f"task.name must be one of {tuple(TASKS)}")
     entry = TASKS[task["name"]]
-    kind = model.get("preset") or ("angles" if "angles" in model else "hamiltonian")
     if entry.models is not None and kind not in entry.models:
         where = f"model.preset {kind!r}" if "preset" in model else f"model.{kind}"
         raise ConfigError(f"{where} cannot run task {task['name']}, which accepts "
@@ -223,7 +236,8 @@ def build_model_field(cfg: dict, spec: LatticeSpec) -> BlochField:
 
 class Context(NamedTuple):
     """A task handler's one argument.  Handlers return (outputs, tolerances);
-    outputs lists (file name, CSV header, rows) in manifest order."""
+    outputs maps each file name, in manifest order, to its table
+    {column name: column} for :func:`io.write_csv`."""
 
     cfg: dict
     spec: LatticeSpec
@@ -235,26 +249,36 @@ class Context(NamedTuple):
         return build_model_field(self.cfg, self.spec)
 
 
+def _complex_table(values: np.ndarray, *index_names: str) -> dict:
+    """One row per entry of ``values`` in C order: its indices, then its
+    real and imaginary parts."""
+    index = np.indices(values.shape).reshape(values.ndim, -1)
+    flat = values.reshape(-1)
+    return {**dict(zip(index_names, index)), "re": flat.real, "im": flat.imag}
+
+
 def _task_crm(ctx: Context):
     pm = position_matrix(ctx.field())
     print(f"hermiticity check: pass (defect {pm.hermiticity_defect:.3e})")
-    return ([("crm.csv", ("m", "p", "n", "q", "re", "im"), io.position_matrix_rows(pm))],
+    nb, n = pm.n_bands, pm.grid.n
+    return ({"crm.csv": _complex_table(pm.entries.reshape(nb, n, nb, n), "m", "p", "n", "q")},
             {"crm_hermiticity": 1e-10})
 
 
 def _task_connection(ctx: Context):
     field = ctx.field()
-    header = ("p", "m", "n", "re", "im")
-    return ([("connection.csv", header, io.connection_rows(berry_connection(field))),
-             ("reduced_r.csv", header, io.connection_rows(reduced_position_matrix(field)))],
+    return ({"connection.csv": _complex_table(berry_connection(field).values, "p", "m", "n"),
+             "reduced_r.csv": _complex_table(reduced_position_matrix(field).values,
+                                             "p", "m", "n")},
             {"hermiticity": 1e-10})
 
 
 def _task_berry_phase(ctx: Context):
     field, bands = ctx.field(), ctx.params["bands"]
-    rows = [(b, io.fmt(gauge.berry_phase(field, b)))
-            for b in ([ctx.params["band"]] if bands is None else bands)]
-    return [("berry_phase.csv", ("band", "theta"), rows)], {"zero_overlap": 1e-12}
+    bands = [ctx.params["band"]] if bands is None else bands
+    return ({"berry_phase.csv": {"band": bands,
+                                 "theta": [gauge.berry_phase(field, b) for b in bands]}},
+            {"zero_overlap": 1e-12})
 
 
 def _task_gauge_audit(ctx: Context):
@@ -292,9 +316,14 @@ def _task_gauge_audit(ctx: Context):
 
     reports = [r for chunk in io.ordered_map(audit_one, range(ctx.params["seeds"]), ctx.workers)
                for r in chunk]
-    header = ("name", "band", "seed", "before_re", "before_im", "after_re", "after_im",
-              "delta", "invariant")
-    return ([("gauge_audit.csv", header, io.report_rows(reports))],
+    before = np.array([r.before for r in reports], dtype=complex)
+    after = np.array([r.after for r in reports], dtype=complex)
+    table = {"name": [r.name for r in reports], "band": [r.band for r in reports],
+             "seed": [r.seed for r in reports], "before_re": before.real,
+             "before_im": before.imag, "after_re": after.real, "after_im": after.imag,
+             "delta": [r.delta for r in reports],
+             "invariant": [int(r.invariant) for r in reports]}
+    return ({"gauge_audit.csv": table},
             {"diagonal_loop": 1e-9, "berry_phase": 1e-9, "trace_loop": 10.0 / grid.n ** 2})
 
 
@@ -306,17 +335,16 @@ def _task_shift_current(ctx: Context):
         order = np.argsort(field.energies[0])
         fillings = np.zeros(field.n_bands)
         fillings[order[: field.n_bands // 2]] = 1.0
-    freq = params["frequencies"]
-    if isinstance(freq, dict):
-        _check_keys(freq, "task.params.frequencies",
-                    {"start": True, "stop": True, "count": True})
-        freq = np.linspace(freq["start"], freq["stop"], freq["count"])
-    drive = transport.DriveSpec(frequencies=np.asarray(freq, dtype=float),
-                                amplitude=params["amplitude"], broadening=params["eta"])
+    # frequencies and eta passed their checks; the amplitude's length can still disagree
+    drive = _library_rule("task.params.amplitude", transport.DriveSpec,
+                          _frequencies(params["frequencies"]), params["amplitude"],
+                          params["eta"])
     result = transport.shift_current_spectrum(
         field, transport.OccupationSpec(np.asarray(fillings, dtype=float)), drive)
     print(f"skipped shift-undefined fraction: {result.skipped_fraction:.4f}")
-    return ([("spectrum.csv", ("omega", "J_s", "skipped_fraction"), io.spectrum_rows(result))],
+    skipped = np.full(len(result.frequencies), result.skipped_fraction)
+    return ({"spectrum.csv": {"omega": result.frequencies, "J_s": result.currents,
+                              "skipped_fraction": skipped}},
             {"shift_modulus": transport.SHIFT_MODULUS_TOL})
 
 
@@ -327,9 +355,10 @@ def _task_pump(ctx: Context):
     pump = transport.pumped_charge(family, band)
     oracle = transport.chern_number(family, band)
     print(f"pumped charge {pump.delta_q:+.6f}, plaquette invariant {oracle.value:+d}")
-    return ([("pump.csv", ("lambda", "P", "Q_cumulative"), io.pump_rows(pump)),
-             ("oracle.csv", ("preset", "band", "chern", "residue"),
-              [("qwz-pump", band, oracle.value, io.fmt(oracle.residue))])],
+    return ({"pump.csv": {"lambda": pump.lambdas, "P": pump.polarization,
+                          "Q_cumulative": pump.cumulative_charge},
+             "oracle.csv": {"preset": ["qwz-pump"], "band": [band], "chern": [oracle.value],
+                            "residue": [oracle.residue]}},
             {"chern_residue": 0.05})
 
 
@@ -342,9 +371,9 @@ def _task_divergence(ctx: Context):
     audit = divergence.translation_audit(cell, 0.0, params["window"], params["centering"])
     print(f"truncation slope {study.slope:.6f} (R^2 {study.r_squared:.6f}); "
           f"translation shift {audit.measured_shift:+.6f}")
-    return ([("truncation.csv", ("W", "value"), io.truncation_rows(study)),
-             ("translation.csv", ("before", "after", "predicted_shift"),
-              [(io.fmt(audit.before), io.fmt(audit.after), io.fmt(audit.predicted_shift))])],
+    return ({"truncation.csv": {"W": study.windows, "value": study.values},
+             "translation.csv": {"before": [audit.before], "after": [audit.after],
+                                 "predicted_shift": [audit.predicted_shift]}},
             {"fit_r2": 0.999})
 
 
@@ -352,19 +381,19 @@ def _task_incompleteness(ctx: Context):
     params, a = ctx.params, ctx.spec.lattice_constant
     target = divergence.SampledCellFunction.from_callable(
         lambda r: np.where(r > a / 2.0, 1.0, 0.0), a, params["samples"]).normalized()
-    pairs = [(nm, divergence.projection_residual(target, nm)) for nm in params["n_max_list"]]
+    residuals = [divergence.projection_residual(target, nm) for nm in params["n_max_list"]]
     ortho = params["orthogonality"]
-    _check_keys(ortho, "task.params.orthogonality", {"n_max": True, "N": True})
     _, worst = divergence.gapped_basis_gram(ortho["n_max"], ortho["N"], a, params["samples"])
-    print(f"gap-supported residuals all {pairs[-1][1]:.12f}; worst Gram off-diagonal {worst:.3e}")
-    return ([("residual.csv", ("n_max", "residual"), io.residual_rows(pairs)),
-             ("orthogonality.csv", ("n_max", "N", "worst_off_diagonal"),
-              [(ortho["n_max"], ortho["N"], io.fmt(worst))])],
+    print(f"gap-supported residuals all {residuals[-1]:.12f}; "
+          f"worst Gram off-diagonal {worst:.3e}")
+    return ({"residual.csv": {"n_max": params["n_max_list"], "residual": residuals},
+             "orthogonality.csv": {"n_max": [ortho["n_max"]], "N": [ortho["N"]],
+                                   "worst_off_diagonal": [worst]}},
             {"gram_off_diag": 1e-10})
 
 
 class Int(NamedTuple):
-    """Bound of an integer task parameter: at least ``low`` and below the
+    """Check of an integer task parameter: at least ``low`` and below the
     LatticeSpec field named ``high`` (unbounded when None); ``many`` wants
     a list of such integers."""
 
@@ -372,10 +401,66 @@ class Int(NamedTuple):
     high: Optional[str] = None
     many: bool = False
 
+    def __call__(self, value, path: str, spec: LatticeSpec):
+        if self.many and not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        for item in value if self.many else [value]:
+            _integer(item, path, self.low, self.high and getattr(spec, self.high))
+
+
+# Checks of the other task parameters: check(value, path, spec) raises a
+# ConfigError naming ``path``; where the library has a rule, it applies it.
+
+def _real(value, path: str, spec: LatticeSpec):
+    _number(value, path)
+
+
+def _reals(value, path: str, spec: LatticeSpec):
+    _library_rule(path, np.asarray, value, dtype=float)
+
+
+def _frequencies(value, path: str = "task.params.frequencies", spec=None) -> np.ndarray:
+    """The drive frequencies of a ``{"start", "stop", "count"}`` object or
+    a list, strictly increasing by DriveSpec's rule."""
+    if isinstance(value, dict):
+        _check_keys(value, path, {"start": True, "stop": True, "count": True})
+        value = np.linspace(_number(value["start"], f"{path}.start"),
+                            _number(value["stop"], f"{path}.stop"),
+                            _integer(value["count"], f"{path}.count", 0))
+    return _library_rule(path, transport.DriveSpec, value, 1.0, 1.0).frequencies
+
+
+def _broadening(value, path: str, spec: LatticeSpec):
+    _library_rule(path, transport.DriveSpec, [1.0], 1.0, value)
+
+
+def _fillings(value, path: str, spec: LatticeSpec):
+    if value is None:
+        return
+    fillings = _library_rule(path, transport.OccupationSpec, value).fillings
+    if fillings.shape not in ((spec.n_bands,), (spec.n_cells, spec.n_bands)):
+        raise ConfigError(f"{path} must hold one filling per band, or an N x n_bands table")
+
+
+def _windows(value, path: str, spec: LatticeSpec):
+    Int(1, many=True)(value, path, spec)
+    _library_rule(path, divergence.check_windows, value)
+
+
+def _centering(value, path: str, spec: LatticeSpec):
+    if value not in divergence.CENTERINGS:
+        raise ConfigError(f"{path} must be one of {divergence.CENTERINGS}")
+
+
+def _orthogonality(value, path: str, spec: LatticeSpec):
+    _check_keys(value, path, {"n_max": True, "N": True})
+    for key, item in value.items():
+        _integer(item, f"{path}.{key}")
+
 
 class Task(NamedTuple):
     """A task's handler, the model kinds it runs on (None: any, unused),
-    and its task.params keys, each with its (default, Int bound or None)."""
+    and its task.params keys, each with its (default, check or None)."""
 
     handler: Callable[[Context], tuple]
     models: Optional[tuple]
@@ -393,20 +478,22 @@ TASKS = {
     "berry-phase": Task(_task_berry_phase, _FIELD_MODELS,
                         {"band": (0, _BAND), "bands": (None, Int(0, "n_bands", many=True))}),
     "gauge-audit": Task(_task_gauge_audit, _FIELD_MODELS,
-                        {"seeds": (20, _COUNT), "modes": (3, Int(0)), "scale": (0.2, None),
+                        {"seeds": (20, _COUNT), "modes": (3, Int(0)), "scale": (0.2, _real),
                          "band": (0, _BAND), "kindex": (0, Int(0, "n_cells"))}),
     "shift-current": Task(_task_shift_current, _ENERGY_MODELS,
-                          {"fillings": (None, None), "amplitude": (1.0, None),
-                           "eta": (0.02, None),
-                           "frequencies": ({"start": 0.5, "stop": 4.0, "count": 176}, None)}),
+                          {"fillings": (None, _fillings), "amplitude": (1.0, _reals),
+                           "eta": (0.02, _broadening),
+                           "frequencies": ({"start": 0.5, "stop": 4.0, "count": 176},
+                                           _frequencies)}),
     "pump": Task(_task_pump, ("qwz-pump",), {"n_lambda": (None, _COUNT), "band": (0, _BAND)}),
     "divergence-demo": Task(_task_divergence, None,
-                            {"windows": ([8, 16, 32, 64, 128, 256], Int(1, many=True)),
-                             "window": (32, _COUNT), "centering": (divergence.FROM_ORIGIN, None),
+                            {"windows": ([8, 16, 32, 64, 128, 256], _windows),
+                             "window": (32, _COUNT),
+                             "centering": (divergence.FROM_ORIGIN, _centering),
                              "samples": _SAMPLES}),
     "incompleteness": Task(_task_incompleteness, None,
                            {"n_max_list": ([1, 2, 4, 8, 16, 32, 64], Int(1, many=True)),
-                            "orthogonality": ({"n_max": 2, "N": 4}, None),
+                            "orthogonality": ({"n_max": 2, "N": 4}, _orthogonality),
                             "samples": _SAMPLES}),
 }
 
@@ -418,14 +505,13 @@ def run(cfg: dict, outdir_override=None, seed_override=None, workers: int = 1,
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
     default_dir = os.environ.get("CRMATRIX_OUTDIR", "crmatrix-out")
     outdir = Path(outdir_override or cfg.get("output", {}).get("directory", default_dir))
-    outdir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]["name"]
     entry = TASKS[task]
     params = {key: default for key, (default, _) in entry.params.items()}
     ctx = Context(cfg, spec, {**params, **cfg["task"].get("params", {})}, seed, workers)
     outputs, tolerances = entry.handler(ctx)
-    files = [(name, io.write_csv(outdir / name, header, rows))
-             for name, header, rows in outputs]
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = [(name, io.write_csv(outdir / name, table)) for name, table in outputs.items()]
 
     io.write_manifest(outdir, task, cfg, seed,
                       grids={"N": spec.n_cells, "a": spec.lattice_constant,

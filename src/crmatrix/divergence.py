@@ -25,6 +25,7 @@ MIN_SAMPLES = 64
 #: monotone growth, "centered" can hide it by symmetry.
 FROM_ORIGIN = "from-origin"
 CENTERED = "centered"
+CENTERINGS = (FROM_ORIGIN, CENTERED)
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,15 @@ def _window_offsets(w: int, a: float, centering: str) -> np.ndarray:
     raise ValueError(f"unknown centering {centering!r}")
 
 
+def check_windows(windows: Sequence[int]) -> np.ndarray:
+    """Truncation windows as an integer array; they must be strictly
+    increasing and >= 1."""
+    windows = np.asarray(list(windows), dtype=int)
+    if np.any(windows < 1) or np.any(np.diff(windows) <= 0):
+        raise ValueError("windows must be strictly increasing and >= 1")
+    return windows
+
+
 @dataclass(frozen=True)
 class TruncationStudy:
     windows: np.ndarray
@@ -107,9 +117,7 @@ def truncated_position_expectation(cell_fn: SampledCellFunction, k: float,
     value against W is attached; an unbounded slope-away-from-zero fit is
     the divergence signature of the untruncated matrix element.
     """
-    windows = np.asarray(list(windows), dtype=int)
-    if np.any(windows < 1) or np.any(np.diff(windows) <= 0):
-        raise ValueError("windows must be strictly increasing and >= 1")
+    windows = check_windows(windows)
     norm = cell_fn.norm_squared()
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"cell function not normalized: |psi|^2 integrates to {norm:.6f}")

@@ -1,9 +1,9 @@
 """CSV emission and run manifests.
 
-All numeric cells are written with 17 significant digits so a rerun with
-the same seed is byte-identical and values round-trip exactly through
-text.  The manifest lists every emitted file with its sha256 digest and
-carries no timestamps, keeping it reproducible too.
+Real cells are written with 17 significant digits so a rerun with the
+same seed is byte-identical and values round-trip exactly through text.
+The manifest lists every emitted file with its sha256 digest and carries
+no timestamps, keeping it reproducible too.
 """
 
 from __future__ import annotations
@@ -13,66 +13,29 @@ import hashlib
 import json
 from pathlib import Path
 
-
-def fmt(x) -> str:
-    """17-significant-digit decimal rendering of one real number."""
-    return format(float(x), ".17g")
+import numpy as np
 
 
-def write_csv(path: Path, header, rows) -> int:
+def _cells(column) -> list:
+    """One column's cells: reals with 17 significant digits, integers and
+    strings as they are.  Arrays go through ``tolist`` and lists are taken
+    as they are, so an integer never passes through a float."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [format(x, ".17g") if isinstance(x, float) else x for x in values]
+
+
+def write_csv(path: Path, table: dict) -> int:
+    """Write ``table`` ({column name: column}, columns of equal length) as
+    a CSV file with a header row; returns the number of data rows."""
+    columns = [_cells(column) for column in table.values()]
+    rows = len(columns[0]) if columns else 0
+    if any(len(cells) != rows for cells in columns):
+        raise ValueError(f"columns of {path.name} differ in length")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        count = 0
-        for row in rows:
-            writer.writerow(row)
-            count += 1
-    return count
-
-
-def position_matrix_rows(pm):
-    nb, nk = pm.n_bands, pm.grid.n
-    for m in range(nb):
-        for p in range(nk):
-            for n in range(nb):
-                for q in range(nk):
-                    z = pm.entries[m * nk + p, n * nk + q]
-                    yield (m, p, n, q, fmt(z.real), fmt(z.imag))
-
-
-def connection_rows(conn):
-    nk, nb = conn.values.shape[0], conn.values.shape[1]
-    for p in range(nk):
-        for m in range(nb):
-            for n in range(nb):
-                z = conn.values[p, m, n]
-                yield (p, m, n, fmt(z.real), fmt(z.imag))
-
-
-def spectrum_rows(result):
-    for w, j in zip(result.frequencies, result.currents):
-        yield (fmt(w), fmt(j), fmt(result.skipped_fraction))
-
-
-def pump_rows(result):
-    for lam, pol, q in zip(result.lambdas, result.polarization, result.cumulative_charge):
-        yield (fmt(lam), fmt(pol), fmt(q))
-
-
-def report_rows(reports):
-    for r in reports:
-        yield (r.name, r.band, r.seed, fmt(r.before.real), fmt(r.before.imag),
-               fmt(r.after.real), fmt(r.after.imag), fmt(r.delta), int(r.invariant))
-
-
-def truncation_rows(study):
-    for w, v in zip(study.windows, study.values):
-        yield (int(w), fmt(v))
-
-
-def residual_rows(pairs):
-    for n_max, resid in pairs:
-        yield (int(n_max), fmt(resid))
+        writer.writerow(table.keys())
+        writer.writerows(zip(*columns))
+    return rows
 
 
 def sha256_of(path: Path) -> str:

@@ -6,6 +6,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .errors import DegenerateRibbon
 from .model import (BlochField, LatticeSpec, PumpFamily, TwoBandAngles,
                     build_kgrid, honeycomb_phasor_sum, pump_family_from_hamiltonian,
                     two_band_columns, two_band_field)
@@ -55,8 +56,11 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
     sublattice-symmetric model with theta identically pi/2; a nonzero
     sublattice mass opens a gap, makes theta k-dependent, and is what
     gives the loop a nonvanishing shift current.  Column 0 is the upper
-    band; energies are attached.
+    band; energies are attached.  A loop through a band-touching point
+    (e.g. radius 0) raises :class:`DegenerateRibbon`.
     """
+    if not bond > 0:
+        raise ValueError("bond length must be > 0")
     grid = build_kgrid(spec)
     n = grid.n
     t_angle = 2.0 * np.pi * np.arange(n) / n
@@ -64,7 +68,7 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
     ky = DIRAC_POINT[1] / bond + radius * np.sin(t_angle)
     f = honeycomb_phasor_sum(kx, ky, bond)
     if np.any(np.abs(f) < 1e-12):
-        raise ZeroDivisionError("loop passes through the band-touching point")
+        raise DegenerateRibbon("loop passes through the band-touching point")
     energy = np.sqrt(mass ** 2 + (hopping * np.abs(f)) ** 2)
     theta = np.arccos(np.clip(mass / energy, -1.0, 1.0))
     coeffs = two_band_columns(theta, -np.angle(f))
@@ -99,12 +103,14 @@ def qwz_pump(spec: LatticeSpec, n_lambda: int, mu: float = -1.0,
 
 class Preset(NamedTuple):
     """A shipped model: ``builder(spec, **params)`` (None when only the
-    divergence tasks construct it), its one-line description, and the
-    builder keywords a config may set as ``model.params``."""
+    divergence tasks construct it), its one-line description, the builder
+    keywords a config may set as ``model.params``, and the band count the
+    model has (None: any)."""
 
     builder: Optional[Callable]
     description: str
     params: tuple = ()
+    n_bands: Optional[int] = None
 
 
 PRESETS = {
@@ -113,13 +119,13 @@ PRESETS = {
     "two-band-generic": Preset(generic_two_band,
                                "smooth two-band angle field with analytic derivatives and closed-form overlaps",
                                ("theta0", "theta_amp", "winding", "phi_amp", "theta_phase",
-                                "phi_phase", "gap", "bandwidth")),
+                                "phi_phase", "gap", "bandwidth"), 2),
     "graphene-ribbon": Preset(graphene_loop,
                               "honeycomb two-band loop around the band-touching point; phase winds once",
-                              ("bond", "radius", "hopping", "mass")),
+                              ("bond", "radius", "hopping", "mass"), 2),
     "qwz-pump": Preset(qwz_pump,
                        "two-band (k, lambda) pump cycle with integer quantized charge transport",
-                       ("mu",)),
+                       ("mu",), 2),
     "vacuum-gap-chain": Preset(None,
                                "half-cell-supported orthonormal chain basis exhibiting truncation growth and the representation gap"),
 }

@@ -284,6 +284,10 @@ def test_expression_outside_grammar_exits_2_before_output(tmp_path, capsys, expr
     assert not out.exists()
 
 
+GRAPHENE, CHAIN = {"preset": "graphene-ribbon"}, {"preset": "vacuum-gap-chain"}
+THREE_BANDS = {"lattice": {"N": 16, "a": 1.0, "n_bands": 3}}
+
+
 @pytest.mark.parametrize("task, model, params, top, key", [
     ("gauge-audit", None, {"seeds": "x"}, {}, "task.params.seeds"),
     ("berry-phase", None, {"band": 5}, {}, "task.params.band"),
@@ -296,8 +300,32 @@ def test_expression_outside_grammar_exits_2_before_output(tmp_path, capsys, expr
      "model.params.gap_tol"),
     ([], None, {}, {}, "task.name"),
     ("crm", {"preset": ["identity"]}, {}, {}, "model.preset"),
+    ("shift-current", GRAPHENE, {"eta": 0}, {}, "task.params.eta"),
+    ("divergence-demo", CHAIN, {"centering": "x"}, {}, "task.params.centering"),
+    ("divergence-demo", CHAIN, {"windows": [16, 8]}, {}, "task.params.windows"),
+    ("shift-current", GRAPHENE, {"frequencies": [2.0, 1.0]}, {}, "task.params.frequencies"),
+    ("shift-current", GRAPHENE, {"frequencies": {"start": 1.0, "stop": 2.0, "count": "x"}}, {},
+     "task.params.frequencies.count"),
+    ("shift-current", GRAPHENE, {"fillings": [2, 0]}, {}, "task.params.fillings"),
+    ("shift-current", GRAPHENE, {"fillings": [0.5]}, {}, "task.params.fillings"),
+    ("incompleteness", CHAIN, {"orthogonality": {"n_max": "x", "N": 4}}, {},
+     "task.params.orthogonality.n_max"),
+    ("gauge-audit", None, {"scale": "x"}, {}, "task.params.scale"),
+    ("shift-current", GRAPHENE, {"amplitude": "x"}, {}, "task.params.amplitude"),
+    ("shift-current", GRAPHENE, {"amplitude": [1.0, 2.0, 3.0], "frequencies": [1.0, 2.0]}, {},
+     "task.params.amplitude"),
+    ("connection", {"angles": {"theta": "1.1 + 3*cos(k*a)", "phi": "k*a"}}, {}, {},
+     "model.angles"),
+    ("crm", None, {}, THREE_BANDS, "lattice.n_bands"),
+    ("crm", {"angles": {"theta": "1.1", "phi": "k*a"}}, {}, THREE_BANDS, "lattice.n_bands"),
+    ("pump", {"preset": "qwz-pump"}, {}, THREE_BANDS, "lattice.n_bands"),
+    ("crm", GRAPHENE, {}, THREE_BANDS, "lattice.n_bands"),
 ], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
-        "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list"])
+        "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list",
+        "eta-zero", "centering", "windows-decreasing", "frequencies-decreasing",
+        "frequency-count-type", "fillings-range", "fillings-length", "orthogonality-n_max-type",
+        "scale-type", "amplitude-type", "amplitude-length", "theta-range",
+        "two-band-preset-3-bands", "angles-3-bands", "pump-3-bands", "graphene-3-bands"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
     out = tmp_path / "out"
     cfg = {**base_config(task, out, model=model, **params), **top}
@@ -325,3 +353,19 @@ def test_integer_power_is_taken_in_floats(tmp_path, capsys):
                       model={"angles": {"theta": "1.1", "phi": "k*a + 9**9**9**9"}})
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
     assert "model.angles.phi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, task, code", [
+    ({"angles": {"theta": "1.1", "phi": "k*a + 9**9**9**9"}}, "connection", 2),
+    ({"preset": "qwz-pump", "params": {"mu": 0.0}}, "pump", 3),
+    ({"preset": "graphene-ribbon", "params": {"radius": 0}}, "connection", 3),
+], ids=["overflow-exit-2", "gap-closing-pump-exit-3", "loop-on-band-touching-exit-3"])
+def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, code):
+    """Errors found only while a task runs leave nothing behind: the output
+    directory is created after the task succeeds."""
+    out = tmp_path / "not-yet"
+    cfg = base_config(task, tmp_path / "unused", model=model)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--outdir", str(out)]) == code
+    if code == 3:
+        assert "DegenerateRibbon" in capsys.readouterr().err
+    assert not out.exists()
