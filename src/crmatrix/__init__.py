@@ -14,9 +14,10 @@ from .errors import (BranchTrackingError, ConfigError, CrmatrixError,
                      NumericalGuardError, UnderResolvedGrid, UndefinedShift,
                      ZeroOverlap)
 from .model import (BlochField, KGrid, LatticeSpec, PumpFamily, TwoBandAngles,
-                    build_kgrid, eigenfield_from_hamiltonian, fix_phase_gauge,
-                    graphene_phases, honeycomb_phasor_sum,
-                    pump_family_from_angles, pump_family_from_hamiltonian,
+                    build_kgrid, eigenfield_from_hamiltonian,
+                    eigenfield_from_stack, fix_phase_gauge, graphene_phases,
+                    honeycomb_phasor_sum, pump_family_from_angles,
+                    pump_family_from_hamiltonian, pump_family_from_stack,
                     two_band_field)
 from .projection import (band_factor, embedded_gram, kron_embed,
                          pair_inner_product, site_factor, site_factor_frame,

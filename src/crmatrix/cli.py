@@ -22,7 +22,7 @@ import numpy as np
 from . import divergence, gauge, io, presets, transport
 from .errors import ConfigError, NumericalGuardError
 from .model import (BlochField, LatticeSpec, TwoBandAngles, build_kgrid,
-                    eigenfield_from_hamiltonian, two_band_field)
+                    eigenfield_from_stack, two_band_field)
 from .rmatrix import berry_connection, position_matrix, reduced_position_matrix
 
 _EXPR_NAMES = {
@@ -74,8 +74,11 @@ def _compile_expr(expr, path: str):
 
 
 def _eval_expr(code, **variables):
+    """Evaluate a compiled expression; numpy's floating-point warnings are
+    off, because the model checks reject non-finite values."""
     try:
-        return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **variables})
+        with np.errstate(all="ignore"):
+            return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **variables})
     except Exception as exc:
         raise ConfigError(f"cannot evaluate {code.co_filename}: {exc}") from exc
 
@@ -90,11 +93,25 @@ def _library_rule(path: str, rule: Callable, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _real_angle(code, key: str, k: np.ndarray, a: float) -> np.ndarray:
+    """An angle expression on the k array; a nonzero imaginary part is a
+    ConfigError naming the key and the first such point."""
+    values = np.broadcast_to(_eval_expr(code, k=k, a=a), np.shape(k))
+    if np.iscomplexobj(values):
+        complex_at = values.imag != 0
+        if complex_at.any():
+            p = int(np.argmax(complex_at))
+            raise ConfigError(f"model.angles.{key} is complex at k index {p}: {values[p]}")
+        values = values.real
+    return values.astype(float)
+
+
 def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
     """Compile the expressions of a model section, so a bad one is a
     ConfigError naming its key, and return the builder of its field.  The
-    builder applies the library's own checks to the evaluated model (theta
-    within [0, pi], a Hermitian table, ...), naming the model section."""
+    builder evaluates each expression once on the k array and applies the
+    library's own checks to the evaluated model (theta within [0, pi], a
+    finite Hermitian table, ...), naming the model section."""
     grid, a = build_kgrid(spec), spec.lattice_constant
     if "angles" in model:
         codes = {key: _compile_expr(expr, f"model.angles.{key}")
@@ -102,8 +119,7 @@ def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
 
         def angle(key):
             code = codes.get(key)
-            return None if code is None else (
-                lambda k: np.broadcast_to(_eval_expr(code, k=k, a=a), np.shape(k)).astype(float))
+            return None if code is None else (lambda k: _real_angle(code, key, k, a))
 
         angles = TwoBandAngles(*map(angle, ("theta", "phi", "dtheta", "dphi")))
         return lambda: _library_rule("model.angles", two_band_field, angles, grid, name="angles")
@@ -115,11 +131,14 @@ def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
         codes = [[_compile_expr(expr, f"model.hamiltonian[{i}][{j}]")
                   for j, expr in enumerate(row)] for i, row in enumerate(table)]
 
-        def h(k):
-            return np.array([[complex(_eval_expr(code, k=k, a=a)) for code in row]
-                             for row in codes])
+        def stack():
+            hk = np.empty((grid.n, nb, nb), dtype=complex)
+            for i, row in enumerate(codes):
+                for j, code in enumerate(row):
+                    hk[:, i, j] = _eval_expr(code, k=grid.points, a=a)
+            return hk
 
-        return lambda: _library_rule("model.hamiltonian", eigenfield_from_hamiltonian, h, grid,
+        return lambda: _library_rule("model.hamiltonian", eigenfield_from_stack, stack(), grid,
                                      name="hamiltonian")
     preset = presets.PRESETS[model["preset"]]
     return lambda: _library_rule("model.params", preset.builder, spec, **model.get("params", {}))
@@ -217,8 +236,8 @@ def load_config(path: Path) -> dict:
     _check_task_params(task.get("params", {}), entry.params, spec)
     if "output" in cfg:
         _check_keys(cfg["output"], "output", {"directory": True})
-    if "seed" in cfg and (not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool)):
-        raise ConfigError("seed must be an integer")
+    if "seed" in cfg:
+        _integer(cfg["seed"], "seed", 0)
     return cfg
 
 
@@ -546,6 +565,8 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            _integer(args.seed, "--seed", 0)
         return run(cfg, outdir_override=args.outdir, seed_override=args.seed,
                    workers=args.workers, verbose=args.verbose)
     except ConfigError as exc:

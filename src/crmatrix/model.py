@@ -243,54 +243,112 @@ def honeycomb_phasor_sum(kx, ky, bond: float = 1.0) -> np.ndarray:
 
 
 def fix_phase_gauge(coeffs: np.ndarray) -> np.ndarray:
-    """Deterministic per-column phase fix.
+    """Deterministic per-column phase fix of a (..., NB, NB) stack.
 
     The largest-magnitude component of each column is rotated to be real
     and positive (ties broken by lowest index, which is what argmax does).
     Idempotent: a column already in this gauge is returned bit-identical.
     """
-    coeffs = np.array(coeffs, dtype=complex)
-    flat = coeffs.reshape(-1, coeffs.shape[-2], coeffs.shape[-1])
-    for c in flat:
-        idx = np.argmax(np.abs(c), axis=0)
-        for n in range(c.shape[1]):
-            z = c[idx[n], n]
-            if z.imag != 0.0 or z.real < 0.0:
-                c[:, n] *= z.conjugate() / abs(z)
-                # pin the pivot so a second pass finds it exactly real-positive
-                c[idx[n], n] = abs(z)
+    return _fix_phase_in_place(np.array(coeffs, dtype=complex))
+
+
+def _fix_phase_in_place(coeffs: np.ndarray) -> np.ndarray:
+    idx = np.argmax(np.abs(coeffs), axis=-2)[..., None, :]
+    z = np.take_along_axis(coeffs, idx, axis=-2)
+    flip = (z.imag != 0.0) | (z.real < 0.0)
+    # numpy's scalar abs(z) is hypot(re, im); np.abs on an array can differ by an ulp
+    modulus = np.hypot(z.real, z.imag)
+    factor = z.conjugate()
+    np.divide(factor, modulus, out=factor, where=flip)
+    np.multiply(coeffs, factor, out=coeffs, where=flip)
+    # pin the pivot so a second pass finds it exactly real-positive
+    np.copyto(z, modulus, where=flip)
+    np.put_along_axis(coeffs, idx, z, axis=-2)
     return coeffs
+
+
+def _where(index) -> str:
+    """``k index p`` (and ``, lambda index j``) of a stack's leading index."""
+    return ", ".join(f"{axis} index {i}" for axis, i in zip(("k", "lambda"), index))
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """Index of the first True entry of ``mask`` in C order."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+
+
+def _eigen_decompose(hk, shape: tuple, gap_tol: float):
+    """The eigen-decomposition of a (..., NB, NB) Hamiltonian stack whose
+    shape must be ``shape``: (phase-fixed coefficients, ascending energies).
+
+    Each step runs once over the whole stack.  A non-finite entry or a
+    non-Hermitian matrix is a ValueError and an adjacent eigenvalue gap
+    below ``gap_tol`` a :class:`DegenerateRibbon`, each naming the first
+    bad index: the ribbon is discontinuous at a degeneracy and silent
+    reordering would hide it.
+    """
+    hk = np.asarray(hk, dtype=complex)
+    if hk.shape != shape:
+        raise ValueError(f"hamiltonian stack has shape {hk.shape}, expected {shape}")
+    finite = np.isfinite(hk)
+    if not finite.all():
+        index = _first(~finite)
+        raise ValueError(f"hamiltonian at {_where(index[:-2])} has a non-finite entry "
+                         f"{index[-2:]}: {hk[index]}")
+    defect = np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1))
+    if np.any(defect > HERMITICITY_TOL):
+        index = _first(defect > HERMITICITY_TOL)
+        raise ValueError(f"hamiltonian at {_where(index)} not Hermitian: "
+                         f"defect {defect[index]:.3e}")
+    energies, coeffs = np.linalg.eigh(hk)
+    if shape[-1] > 1:
+        gap = np.min(np.diff(energies, axis=-1), axis=-1)
+        if np.any(gap < gap_tol):
+            index = _first(gap < gap_tol)
+            raise DegenerateRibbon(
+                f"eigenvalue gap {gap[index]:.3e} < gap_tol {gap_tol:g} at {_where(index)}")
+    return _fix_phase_in_place(coeffs), energies
+
+
+def _evaluate(h: Callable, nb: int, *axes: np.ndarray) -> np.ndarray:
+    """``h(*point)`` at every point of the product grid of ``axes``, as a
+    stack of shape ``(len(axes[0]), ..., nb, nb)``."""
+    shape = tuple(len(axis) for axis in axes)
+    hk = np.empty(shape + (nb, nb), dtype=complex)
+    for index in np.ndindex(shape):
+        value = np.asarray(h(*(axis[i] for axis, i in zip(axes, index))), dtype=complex)
+        if value.shape != (nb, nb):
+            raise ValueError(f"hamiltonian at {_where(index)} has shape {value.shape}, "
+                             f"expected {(nb, nb)}")
+        hk[index] = value
+    return hk
+
+
+def eigenfield_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8,
+                          name: str = "eigenfield") -> BlochField:
+    """Ribbon from the eigenvectors of an (N, NB, NB) stack of Hermitian
+    matrices, one per grid momentum.
+
+    Columns are sorted by ascending eigenvalue and phase-fixed with
+    :func:`fix_phase_gauge`.  Raises :class:`DegenerateRibbon` when any
+    adjacent eigenvalue gap drops below ``gap_tol``.
+    """
+    nb = grid.spec.n_bands
+    coeffs, energies = _eigen_decompose(hk, (grid.n, nb, nb), gap_tol)
+    return BlochField(grid=grid, coeffs=coeffs, energies=energies, name=name)
 
 
 def eigenfield_from_hamiltonian(h: Callable[[float], np.ndarray], grid: KGrid,
                                 gap_tol: float = 1e-8, name: str = "eigenfield") -> BlochField:
-    """Ribbon from the eigenvectors of a k-dependent Hermitian matrix.
+    """:func:`eigenfield_from_stack` of ``h(k)`` evaluated at each grid
+    momentum."""
+    return eigenfield_from_stack(_evaluate(h, grid.spec.n_bands, grid.points), grid,
+                                 gap_tol=gap_tol, name=name)
 
-    Columns are sorted by ascending eigenvalue and phase-fixed with
-    :func:`fix_phase_gauge`.  Raises :class:`DegenerateRibbon` when any
-    adjacent eigenvalue gap drops below ``gap_tol``: the ribbon is
-    discontinuous at a degeneracy and silent reordering would hide it.
-    """
-    nb = grid.spec.n_bands
-    coeffs = np.empty((grid.n, nb, nb), dtype=complex)
-    energies = np.empty((grid.n, nb), dtype=float)
-    for p, k in enumerate(grid.points):
-        hk = np.asarray(h(k), dtype=complex)
-        if hk.shape != (nb, nb):
-            raise ValueError(f"hamiltonian at k index {p} has shape {hk.shape}, expected {(nb, nb)}")
-        defect = np.max(np.abs(hk - hk.conj().T))
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"hamiltonian at k index {p} not Hermitian: defect {defect:.3e}")
-        w, v = np.linalg.eigh(hk)
-        if nb > 1:
-            gap = np.min(np.diff(w))
-            if gap < gap_tol:
-                raise DegenerateRibbon(
-                    f"eigenvalue gap {gap:.3e} < gap_tol {gap_tol:g} at k index {p}")
-        coeffs[p] = v
-        energies[p] = w
-    coeffs = fix_phase_gauge(coeffs)
-    return BlochField(grid=grid, coeffs=coeffs, energies=energies, name=name)
+
+def pump_lambdas(n_lambda: int) -> np.ndarray:
+    """The pump-cycle grid lambda_j = j / n_lambda, j = 0..n_lambda-1."""
+    return np.arange(n_lambda) / n_lambda
 
 
 @dataclass(frozen=True)
@@ -327,22 +385,24 @@ class PumpFamily:
         return self.coeffs.shape[2]
 
 
+def pump_family_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8,
+                           name: str = "pump") -> PumpFamily:
+    """Eigen-decompose an (N, n_lambda, NB, NB) stack of h(k_p, lambda_j)
+    with lambda_j = j/n_lambda; same gap guard and phase fix as
+    :func:`eigenfield_from_stack`, per point."""
+    n_lambda = np.shape(hk)[1] if np.ndim(hk) == 4 else 0
+    nb = grid.spec.n_bands
+    coeffs, energies = _eigen_decompose(hk, (grid.n, n_lambda, nb, nb), gap_tol)
+    return PumpFamily(grid=grid, lambdas=pump_lambdas(n_lambda), coeffs=coeffs,
+                      energies=energies, name=name)
+
+
 def pump_family_from_hamiltonian(h, grid: KGrid, n_lambda: int, gap_tol: float = 1e-8,
                                  name: str = "pump") -> PumpFamily:
-    """Eigen-decompose h(k, lambda) on the torus grid; lambda_j = j/n_lambda.
-
-    Applies the same gap guard and deterministic phase fix as
-    :func:`eigenfield_from_hamiltonian`, per point.
-    """
-    nb = grid.spec.n_bands
-    lambdas = np.arange(n_lambda) / n_lambda
-    coeffs = np.empty((grid.n, n_lambda, nb, nb), dtype=complex)
-    energies = np.empty((grid.n, n_lambda, nb), dtype=float)
-    for j, lam in enumerate(lambdas):
-        fld = eigenfield_from_hamiltonian(lambda k: h(k, lam), grid, gap_tol=gap_tol)
-        coeffs[:, j] = fld.coeffs
-        energies[:, j] = fld.energies
-    return PumpFamily(grid=grid, lambdas=lambdas, coeffs=coeffs, energies=energies, name=name)
+    """:func:`pump_family_from_stack` of ``h(k, lambda)`` evaluated at each
+    point of the torus grid."""
+    hk = _evaluate(h, grid.spec.n_bands, grid.points, pump_lambdas(n_lambda))
+    return pump_family_from_stack(hk, grid, gap_tol=gap_tol, name=name)
 
 
 def pump_family_from_angles(theta, phi, grid: KGrid, n_lambda: int,
@@ -351,7 +411,7 @@ def pump_family_from_angles(theta, phi, grid: KGrid, n_lambda: int,
     phi(k, lam) with lam in [0, 1)."""
     if grid.spec.n_bands != 2:
         raise ValueError("angle families are two-band")
-    lambdas = np.arange(n_lambda) / n_lambda
+    lambdas = pump_lambdas(n_lambda)
     kk, ll = np.meshgrid(grid.points, lambdas, indexing="ij")
     coeffs = two_band_columns(np.asarray(theta(kk, ll), dtype=float),
                               np.asarray(phi(kk, ll), dtype=float))

@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import DegenerateRibbon
 from .model import (BlochField, LatticeSpec, PumpFamily, TwoBandAngles,
-                    build_kgrid, honeycomb_phasor_sum, pump_family_from_hamiltonian,
-                    two_band_columns, two_band_field)
+                    build_kgrid, honeycomb_phasor_sum, pump_family_from_stack,
+                    pump_lambdas, two_band_columns, two_band_field)
 
 #: K point of the honeycomb model in the (kx, ky) convention used here,
 #: for bond length 1: the phasor sum vanishes there.
@@ -78,12 +78,15 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
 
 def qwz_hamiltonian(mu: float):
     """Two-band pump Hamiltonian h(k, lam) = sin k tau_x + sin(2 pi lam) tau_y
-    + (mu + cos k + cos(2 pi lam)) tau_z."""
+    + (mu + cos k + cos(2 pi lam)) tau_z.  ``k`` and ``lam`` may be arrays
+    that broadcast together; h returns one 2 x 2 matrix per point, with
+    shape ``broadcast shape + (2, 2)``."""
     tau_x = np.array([[0, 1], [1, 0]], dtype=complex)
     tau_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     tau_z = np.array([[1, 0], [0, -1]], dtype=complex)
 
     def h(k, lam):
+        k, lam = np.asarray(k)[..., None, None], np.asarray(lam)[..., None, None]
         return (np.sin(k) * tau_x + np.sin(2.0 * np.pi * lam) * tau_y
                 + (mu + np.cos(k) + np.cos(2.0 * np.pi * lam)) * tau_z)
 
@@ -96,9 +99,9 @@ def qwz_pump(spec: LatticeSpec, n_lambda: int, mu: float = -1.0,
     occupied (lower) band.  |mu| < 2 pumps one unit of charge per cycle,
     |mu| > 2 pumps none."""
     grid = build_kgrid(spec)
-    fam = pump_family_from_hamiltonian(qwz_hamiltonian(mu), grid, n_lambda,
-                                       gap_tol=gap_tol, name="qwz-pump")
-    return fam
+    kk, ll = np.meshgrid(grid.points, pump_lambdas(n_lambda), indexing="ij")
+    return pump_family_from_stack(qwz_hamiltonian(mu)(kk, ll), grid, gap_tol=gap_tol,
+                                  name="qwz-pump")
 
 
 class Preset(NamedTuple):

@@ -369,3 +369,41 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, c
     if code == 3:
         assert "DegenerateRibbon" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, top, key", [
+    ({"hamiltonian": [["exp(1000*k)", "0"], ["0", "-1"]]}, {}, "model.hamiltonian"),
+    ({"hamiltonian": [["0/k", "1"], ["1", "0"]]}, {}, "model.hamiltonian"),
+    ({"hamiltonian": [["1", "0"], ["0", "sqrt(k-1)"]]}, {}, "model.hamiltonian"),
+    ({"angles": {"theta": "1.1", "phi": "j*k"}}, {}, "model.angles.phi"),
+    (None, {"seed": -1}, "seed"),
+], ids=["hamiltonian-overflow", "hamiltonian-zero-over-zero", "hamiltonian-sqrt-negative",
+        "complex-angle", "negative-seed"])
+def test_bad_model_values_exit_2_naming_key(tmp_path, capsys, model, top, key):
+    """Non-finite Hamiltonian entries, complex angles and negative seeds are
+    config errors, found before any output is written."""
+    out = tmp_path / "out"
+    cfg = {**base_config("gauge-audit", out, model=model, seeds=2), **top}
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = base_config("gauge-audit", out, seeds=2)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--seed", "-5"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pump_guard_names_k_and_lambda_index(tmp_path, capsys):
+    """At mu = 0 the qwz gap closes at (k, lambda) = (0, 1/2) and (pi, 0);
+    the guard names the first of these points by both of its indices."""
+    out = tmp_path / "out"
+    cfg = base_config("pump", out, model={"preset": "qwz-pump", "params": {"mu": 0.0}})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert "DegenerateRibbon" in err
+    assert "k index 0, lambda index 8" in err
+    assert not out.exists()
