@@ -567,6 +567,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             _integer(args.seed, "--seed", 0)
+        _integer(args.workers, "--workers", 1)
         return run(cfg, outdir_override=args.outdir, seed_override=args.seed,
                    workers=args.workers, verbose=args.verbose)
     except ConfigError as exc:

@@ -8,33 +8,72 @@ no timestamps, keeping it reproducible too.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
+#: data rows formatted and written per write call
+CHUNK_ROWS = 1 << 14
 
-def _cells(column) -> list:
-    """One column's cells: reals with 17 significant digits, integers and
-    strings as they are.  Arrays go through ``tolist`` and lists are taken
-    as they are, so an integer never passes through a float."""
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return [format(x, ".17g") if isinstance(x, float) else x for x in values]
+#: %-conversion of a column whose cells are all of exactly this type
+_CONVERSIONS = {float: "%.17g", int: "%d"}
+
+#: characters that make csv's minimal quoting quote a field
+_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _conversion(column) -> str:
+    """One column's %-conversion, from its cells' exact types: ``%.17g``
+    for reals, ``%d`` for integers, ``%s`` for anything else (strings,
+    bools, mixed columns), whose cells go through :func:`_text` first.  A
+    numeric array has one cell type, so one cell decides."""
+    if isinstance(column, np.ndarray):
+        column = (column[:1] if column.dtype != object else column).tolist()
+    kinds = set(map(type, column))
+    return _CONVERSIONS.get(kinds.pop(), "%s") if len(kinds) == 1 else "%s"
+
+
+def _text(cell, alone: bool) -> str:
+    """A ``%s`` cell as csv.writer writes it: a real (any ``float``) with 17
+    significant digits, None empty, anything else by ``str``, quoted when
+    it holds a delimiter, a quote or a line break, or when it is empty and
+    ``alone`` in its row."""
+    text = format(cell, ".17g") if isinstance(cell, float) else "" if cell is None else str(cell)
+    if _SPECIAL.search(text) or alone and not text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path: Path, table: dict) -> int:
     """Write ``table`` ({column name: column}, columns of equal length) as
-    a CSV file with a header row; returns the number of data rows."""
-    columns = [_cells(column) for column in table.values()]
+    a CSV file with a header row; returns the number of data rows.
+
+    Cells keep one rule: a real (a Python or numpy ``float``) is written
+    with 17 significant digits, an integer, a string or any other value as
+    ``str`` gives it, with csv's minimal quoting and ``\r\n`` line ends.
+    Arrays go through ``tolist`` and lists are taken as they are, so an
+    integer never passes through a float.  Each row is one template of the
+    columns' conversions, filled ``CHUNK_ROWS`` rows at a time.
+    """
+    columns = list(table.values())
     rows = len(columns[0]) if columns else 0
-    if any(len(cells) != rows for cells in columns):
+    if any(len(column) != rows for column in columns):
         raise ValueError(f"columns of {path.name} differ in length")
+    alone = len(columns) == 1
+    conversions = [_conversion(column) for column in columns]
+    template = ",".join(conversions) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.keys())
-        writer.writerows(zip(*columns))
+        fh.write(",".join(_text(name, alone) for name in table) + "\r\n")
+        for start in range(0, rows, CHUNK_ROWS):
+            cells = []
+            for column, conversion in zip(columns, conversions):
+                part = column[start:start + CHUNK_ROWS]
+                part = part.tolist() if isinstance(part, np.ndarray) else part
+                cells.append(part if conversion != "%s" else [_text(c, alone) for c in part])
+            fh.write("".join(map(template.__mod__, zip(*cells))))
     return rows
 
 

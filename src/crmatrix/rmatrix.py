@@ -3,9 +3,11 @@
 The full position matrix on the (band, momentum) basis is finite in every
 entry.  Its momentum-diagonal blocks carry the Berry connection plus the
 crystal mass center; its off-diagonal blocks carry the band overlap factor
-times a position-weighted phase sum over sites.  All entries are evaluated
-by direct summation; nothing is assumed to collapse to a delta ahead of
-time.
+times a position-weighted phase sum over sites.  The phase sum is a direct
+DFT of the site positions, taken once per momentum offset; the dense matrix
+is assembled in its output layout a fixed block of momentum rows at a time,
+so no full-size temporary sits beside it.  Nothing is assumed to collapse
+to a delta ahead of time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from .errors import NonHermitianInput
 from .model import BlochField, KGrid
 
 CRM_HERMITICITY_TOL = 1e-10
+
+#: momentum rows per block of the dense assembly and of its Hermiticity
+#: check; the working set beyond the output is O(ROW_BLOCK * NB^2 * N)
+ROW_BLOCK = 64
 
 BERRY_CONNECTION = "berry_connection"
 REDUCED_POSITION = "reduced_position"
@@ -99,6 +105,24 @@ def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
     return np.einsum("...l,...l->...", cols.conj(), np.roll(cols, -1, axis=axis))
 
 
+def _phase_offsets(grid: KGrid) -> np.ndarray:
+    """(1/N) sum_j R_j e^{2 pi i d j / N} for every offset d = 0..N-1: the
+    grid part of the phase sum, which depends on (p - q) mod N only."""
+    spec = grid.spec
+    n = spec.n_cells
+    offsets = np.arange(n)
+    grid_phases = np.exp(2j * np.pi * np.outer(offsets, np.arange(n)) / n)
+    return grid_phases @ spec.sites / n
+
+
+def _phase_rows(grid: KGrid, per_offset: np.ndarray, p0: int, p1: int) -> np.ndarray:
+    """Rows p0..p1-1 of S: the origin phase times the offset sum."""
+    n = grid.spec.n_cells
+    diff = np.arange(p0, p1)[:, None] - np.arange(n)[None, :]
+    dk = grid.points[p0:p1, None] - grid.points[None, :]
+    return np.exp(1j * dk * grid.spec.origin) * per_offset[diff % n]
+
+
 def position_phase_sum(grid: KGrid) -> np.ndarray:
     """S[p, q] = (1/N) sum_j R_j e^{i (k_p - k_q) R_j} by direct summation.
 
@@ -108,14 +132,7 @@ def position_phase_sum(grid: KGrid) -> np.ndarray:
     a pure grid phase depending on (p - q) mod N only, so the direct sum
     is taken once per offset instead of once per (p, q) pair.
     """
-    spec = grid.spec
-    n = spec.n_cells
-    offsets = np.arange(n)
-    grid_phases = np.exp(2j * np.pi * np.outer(offsets, np.arange(n)) / n)
-    per_offset = grid_phases @ spec.sites / n
-    diff = np.arange(n)[:, None] - np.arange(n)[None, :]
-    dk = grid.points[:, None] - grid.points[None, :]
-    return np.exp(1j * dk * spec.origin) * per_offset[diff % n]
+    return _phase_rows(grid, _phase_offsets(grid), 0, grid.spec.n_cells)
 
 
 @dataclass(frozen=True)
@@ -153,29 +170,57 @@ def position_matrix(field: BlochField, hermiticity_tol: float = CRM_HERMITICITY_
     Entry ((m,p),(n,q)) = delta_{pq} A_{m,n}(k_p)
     + K_{m,n}(k_p,k_q) * (1/N) sum_j R_j e^{i(k_p-k_q) R_j}.
 
-    The second term is evaluated by direct summation for every (p, q)
-    including p = q, where it lands on delta_{m,n} Rbar only because the
-    coefficient matrices are unitary; that collapse is checked by the test
-    suite, not assumed here.  Raises :class:`NonHermitianInput` when the
-    assembled matrix violates Hermiticity beyond ``hermiticity_tol``,
-    which diagnoses a bad gauge or an under-resolved grid.
+    The second term is evaluated for every (p, q) including p = q, where it
+    lands on delta_{m,n} Rbar only because the coefficient matrices are
+    unitary; that collapse is checked by the test suite, not assumed here.
+    The entries are written in place, ``ROW_BLOCK`` momentum rows p at a
+    time: the overlaps K of those rows times the matching rows of S, plus
+    the connection on the diagonal.  Beyond the (NB*N)^2 output, memory is
+    O(ROW_BLOCK * NB^2 * N); the per-offset DFT, taken before the output
+    is allocated, briefly holds an N x N phase table.  Raises
+    :class:`NonHermitianInput`, naming the composite index (m, p, n, q)
+    where |E - E^dag| peaks, when the matrix violates Hermiticity beyond
+    ``hermiticity_tol``; that diagnoses a bad gauge or an under-resolved
+    grid.
     """
     nb, nk = field.n_bands, field.n_k
     conn = berry_connection(field)
     scheme = "analytic" if field.dcoeffs is not None else "central-difference"
+    coeffs = field.coeffs
+    per_offset = _phase_offsets(field.grid)
 
-    overlap = np.einsum("plm,qln->pqmn", field.coeffs.conj(), field.coeffs)
-    ssum = position_phase_sum(field.grid)
-    blocks = overlap * ssum[:, :, None, None]
-    blocks[np.arange(nk), np.arange(nk)] += conn.values
+    entries = np.empty((nb, nk, nb, nk), dtype=complex)
+    for p0 in range(0, nk, ROW_BLOCK):
+        p1 = min(p0 + ROW_BLOCK, nk)
+        blocks = np.einsum("plm,qln->pqmn", coeffs[p0:p1].conj(), coeffs)
+        blocks *= _phase_rows(field.grid, per_offset, p0, p1)[:, :, None, None]
+        blocks[np.arange(p1 - p0), np.arange(p0, p1)] += conn.values[p0:p1]
+        entries[:, p0:p1] = blocks.transpose(2, 0, 3, 1)
+    entries = entries.reshape(nb * nk, nb * nk)
 
-    entries = blocks.transpose(2, 0, 3, 1).reshape(nb * nk, nb * nk)
-    defect = float(np.max(np.abs(entries - entries.conj().T)))
+    defect, (row, col) = _hermiticity_defect(entries)
     if defect > hermiticity_tol:
+        m, p = divmod(row, nk)
+        n, q = divmod(col, nk)
         raise NonHermitianInput(
-            f"position matrix Hermiticity defect {defect:.3e} > {hermiticity_tol:g}")
+            f"position matrix Hermiticity defect {defect:.3e} > {hermiticity_tol:g} "
+            f"at (m, p, n, q) = ({m}, {p}, {n}, {q})")
     return PositionMatrix(grid=field.grid, entries=entries,
                           derivative_scheme=scheme, hermiticity_defect=defect)
+
+
+def _hermiticity_defect(entries: np.ndarray) -> tuple:
+    """max |E - E^dag| and the first (row, column) where it peaks, taken
+    over stripes of ``ROW_BLOCK`` rows so no full-size temporary is made."""
+    dim = entries.shape[0]
+    peaks, spots = [], []
+    for i in range(0, dim, ROW_BLOCK):
+        stripe = np.abs(entries[i:i + ROW_BLOCK] - entries[:, i:i + ROW_BLOCK].conj().T)
+        spot = int(np.argmax(stripe))
+        peaks.append(stripe.flat[spot])
+        spots.append(i * dim + spot)
+    s = int(np.argmax(peaks))
+    return float(peaks[s]), divmod(spots[s], dim)
 
 
 def crystal_momentum_matrix(grid: KGrid, n_bands: Optional[int] = None) -> np.ndarray:

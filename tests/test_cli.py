@@ -397,6 +397,21 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exits_2(tmp_path, capsys, monkeypatch, workers):
+    """A worker count below 1 is refused before the task runs, so no thread
+    is started and no output directory is made."""
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_threads)
+    out = tmp_path / "out"
+    cfg = base_config("gauge-audit", out, seeds=2)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pump_guard_names_k_and_lambda_index(tmp_path, capsys):
     """At mu = 0 the qwz gap closes at (k, lambda) = (0, 1/2) and (pi, 0);
     the guard names the first of these points by both of its indices."""

@@ -131,3 +131,62 @@ def test_write_csv_cell_rule(tmp_path):
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         io.write_csv(tmp_path / "t.csv", {"a": [1, 2], "b": [0.5]})
+
+
+def ref_cell(x):
+    """The former cell rule: reals through ``ref_fmt``, anything else to
+    csv.writer as it is."""
+    return ref_fmt(x) if isinstance(x, float) else x
+
+
+def assert_writes_like_csv_writer(tmp_path, table):
+    path, ref = tmp_path / "table.csv", tmp_path / "ref.csv"
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    rows = ref_write_csv(ref, table.keys(), ([ref_cell(x) for x in row] for row in zip(*columns)))
+    assert io.write_csv(path, table) == rows
+    assert path.read_bytes() == ref.read_bytes()
+
+
+TEXT = ["comma,inside", 'quote"inside', '"', "cr\rlf\nboth\r\n", "", "plain", "trailing "]
+
+
+@pytest.mark.parametrize("table", [
+    {"text": TEXT, "index": np.arange(len(TEXT))},
+    {"text": TEXT},
+    {"only": ["", None, "x"]},
+    {"a,b": [1], 'say "x"': [2.5]},
+], ids=["quoted-strings", "one-string-column", "empty-cell-alone", "quoted-header"])
+def test_write_csv_quotes_like_csv_writer(tmp_path, table):
+    assert_writes_like_csv_writer(tmp_path, table)
+
+
+def test_write_csv_bool_and_numpy_float_cells_in_lists(tmp_path):
+    assert_writes_like_csv_writer(tmp_path, {
+        "flag": [True, False, True],
+        "flags": np.array([False, True, True]),
+        "x": [np.float64(0.1), np.float64(-0.0), np.float64(1e-300)],
+        "y": [np.float64(1.5), 2.0, np.float32(0.1)],
+    })
+
+
+def test_write_csv_mixed_int_float_column(tmp_path):
+    assert_writes_like_csv_writer(tmp_path, {
+        "mixed": [1, 2.5, -3, 1e-300, 2 ** 70, float("nan"), None, "s"],
+        "objects": np.array([1, 2.5, -3, 1e-300, 2 ** 70, float("nan"), None, "s"], dtype=object),
+        "ints": list(range(8)),
+    })
+
+
+@pytest.mark.parametrize("table", [{"a": [], "b": np.array([]), "c": np.arange(0)}, {}],
+                         ids=["no-rows", "no-columns"])
+def test_write_csv_empty_tables(tmp_path, table):
+    assert_writes_like_csv_writer(tmp_path, table)
+
+
+def test_write_csv_longer_than_one_chunk(tmp_path):
+    rows = 2 * io.CHUNK_ROWS + 5
+    values = np.random.default_rng(3).normal(size=rows)
+    assert_writes_like_csv_writer(tmp_path, {
+        "i": np.arange(rows), "x": values, "label": [f"r{i % 7}" for i in range(rows)],
+        "y": values.tolist(),
+    })

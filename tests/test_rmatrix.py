@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from crmatrix import (BlochField, LatticeSpec, TwoBandAngles, band_overlap,
-                      berry_connection, build_kgrid, crystal_momentum_matrix,
-                      position_matrix, position_momentum_commutator,
-                      position_phase_sum, reduced_position_matrix,
+from crmatrix import (BlochField, LatticeSpec, NonHermitianInput, TwoBandAngles,
+                      band_overlap, berry_connection, build_kgrid,
+                      crystal_momentum_matrix, position_matrix,
+                      position_momentum_commutator, position_phase_sum,
+                      random_gauge_field, reduced_position_matrix,
                       two_band_field)
 from crmatrix.presets import identity_field
 
@@ -194,3 +197,87 @@ def test_position_matrix_finite_everywhere():
     assert np.all(np.isfinite(pm.entries.real))
     assert np.all(np.isfinite(pm.entries.imag))
     assert pm.dim == 48
+
+
+# -- the block-row assembly against the whole-tensor assembly it replaced ----
+
+def ref_position_phase_sum(grid):
+    """The former S: every row at once."""
+    spec = grid.spec
+    n = spec.n_cells
+    offsets = np.arange(n)
+    grid_phases = np.exp(2j * np.pi * np.outer(offsets, np.arange(n)) / n)
+    per_offset = grid_phases @ spec.sites / n
+    diff = np.arange(n)[:, None] - np.arange(n)[None, :]
+    dk = grid.points[:, None] - grid.points[None, :]
+    return np.exp(1j * dk * spec.origin) * per_offset[diff % n]
+
+
+def ref_position_matrix(field):
+    """The former assembly from the full (N, N, NB, NB) overlap tensor,
+    kept as the byte reference: returns (entries, hermiticity defect)."""
+    nb, nk = field.n_bands, field.n_k
+    conn = berry_connection(field)
+    overlap = np.einsum("plm,qln->pqmn", field.coeffs.conj(), field.coeffs)
+    blocks = overlap * ref_position_phase_sum(field.grid)[:, :, None, None]
+    blocks[np.arange(nk), np.arange(nk)] += conn.values
+    entries = blocks.transpose(2, 0, 3, 1).reshape(nb * nk, nb * nk)
+    return entries, float(np.max(np.abs(entries - entries.conj().T)))
+
+
+def mixed_field(n_bands, n_cells, a, origin, analytic):
+    """A k-dependent field with analytic column derivatives: two-band
+    columns (plus e^{ika} as a third band), mixed by a fixed orbital
+    rotation.  ``analytic=False`` drops the derivatives."""
+    spec = LatticeSpec(n_cells=n_cells, lattice_constant=a, n_bands=n_bands, origin=origin)
+    grid = build_kgrid(spec)
+    two = two_band_field(smooth_angles(seed=9, a=a),
+                         build_kgrid(LatticeSpec(n_cells=n_cells, lattice_constant=a, n_bands=2)))
+    coeffs = np.zeros((n_cells, n_bands, n_bands), dtype=complex)
+    dcoeffs = np.zeros_like(coeffs)
+    coeffs[:, :2, :2], dcoeffs[:, :2, :2] = two.coeffs, two.dcoeffs
+    if n_bands == 3:
+        coeffs[:, 2, 2] = np.exp(1j * grid.points * a)
+        dcoeffs[:, 2, 2] = 1j * a * coeffs[:, 2, 2]
+    rotation = random_gauge_field(n_bands, grid, modes=0, seed=4).unitaries[0]
+    return BlochField(grid=grid, coeffs=rotation @ coeffs,
+                      dcoeffs=rotation @ dcoeffs if analytic else None)
+
+
+@pytest.mark.parametrize("n_cells", [1, 7, 64, 65, 130])
+@pytest.mark.parametrize("n_bands", [2, 3])
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "central-difference"])
+@pytest.mark.parametrize("a, origin", [(1.0, 0.0), (1.3, -0.7)], ids=["unit", "shifted"])
+def test_position_matrix_bytes_equal_whole_tensor_reference(n_cells, n_bands, analytic, a,
+                                                            origin):
+    field = mixed_field(n_bands, n_cells, a, origin, analytic)
+    pm = position_matrix(field)
+    entries, defect = ref_position_matrix(field)
+    assert pm.entries.tobytes() == entries.tobytes()
+    assert pm.hermiticity_defect == defect
+    assert position_phase_sum(field.grid).tobytes() == ref_position_phase_sum(field.grid).tobytes()
+
+
+def test_position_matrix_guard_names_peak_index():
+    # |E - E^dag| peaks at rows 96 and 143, in two different row stripes
+    field = mixed_field(3, 48, 1.3, 0.4, analytic=True)
+    entries, defect = ref_position_matrix(field)
+    assert defect > 1e-14
+    row, col = np.unravel_index(np.argmax(np.abs(entries - entries.conj().T)), entries.shape)
+    (m, p), (n, q) = divmod(int(row), 48), divmod(int(col), 48)
+    with pytest.raises(NonHermitianInput) as info:
+        position_matrix(field, hermiticity_tol=1e-14)
+    assert str(info.value) == (f"position matrix Hermiticity defect {defect:.3e} > 1e-14 "
+                               f"at (m, p, n, q) = ({m}, {p}, {n}, {q})")
+
+
+def test_position_matrix_memory_stays_near_output_size():
+    """Beyond its (NB*N)^2 entries the assembly holds only a block of rows."""
+    field = smooth_field(n_cells=512, seed=4)
+    tracemalloc.start()
+    try:
+        pm = position_matrix(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * pm.entries.nbytes
