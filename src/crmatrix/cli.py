@@ -281,7 +281,7 @@ def _task_crm(ctx: Context):
     print(f"hermiticity check: pass (defect {pm.hermiticity_defect:.3e})")
     nb, n = pm.n_bands, pm.grid.n
     return ({"crm.csv": _complex_table(pm.entries.reshape(nb, n, nb, n), "m", "p", "n", "q")},
-            {"crm_hermiticity": 1e-10})
+            {"crm_hermiticity": pm.hermiticity_tol})
 
 
 def _task_connection(ctx: Context):

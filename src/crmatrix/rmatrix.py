@@ -3,8 +3,8 @@
 The full position matrix on the (band, momentum) basis is finite in every
 entry.  Its momentum-diagonal blocks carry the Berry connection plus the
 crystal mass center; its off-diagonal blocks carry the band overlap factor
-times a position-weighted phase sum over sites.  The phase sum is a direct
-DFT of the site positions, taken once per momentum offset; the dense matrix
+times a position-weighted phase sum over sites.  The phase sum has a closed
+form per momentum offset that makes it Hermitian exactly; the dense matrix
 is assembled in its output layout a fixed block of momentum rows at a time,
 so no full-size temporary sits beside it.  Nothing is assumed to collapse
 to a delta ahead of time.
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NonHermitianInput
 from .model import BlochField, KGrid
 
-CRM_HERMITICITY_TOL = 1e-10
+CRM_HERMITICITY_TOL = 1e-10  #: per unit lattice constant, the scale of every entry
 
 #: momentum rows per block of the dense assembly and of its Hermiticity
 #: check; the working set beyond the output is O(ROW_BLOCK * NB^2 * N)
@@ -106,13 +106,13 @@ def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _phase_offsets(grid: KGrid) -> np.ndarray:
-    """(1/N) sum_j R_j e^{2 pi i d j / N} for every offset d = 0..N-1: the
-    grid part of the phase sum, which depends on (p - q) mod N only."""
+    """c_d = (1/N) sum_j R_j e^{2 pi i d j / N} for d = 0..N-1, the grid part
+    of the phase sum: c_0 = Rbar, c_d = a / (e^{2 pi i d / N} - 1) otherwise.
+    cot(pi d / N) is taken on min(d, N - d), so c_{N-d} = conj(c_d) exactly."""
     spec = grid.spec
-    n = spec.n_cells
-    offsets = np.arange(n)
-    grid_phases = np.exp(2j * np.pi * np.outer(offsets, np.arange(n)) / n)
-    return grid_phases @ spec.sites / n
+    n, d = spec.n_cells, np.arange(1, spec.n_cells)
+    cot = np.sign(n - 2 * d) / np.tan(np.pi * np.minimum(d, n - d) / n)
+    return np.concatenate(([spec.rbar], -spec.lattice_constant / 2 * (1 + 1j * cot)))
 
 
 def _phase_rows(grid: KGrid, per_offset: np.ndarray, p0: int, p1: int) -> np.ndarray:
@@ -124,13 +124,13 @@ def _phase_rows(grid: KGrid, per_offset: np.ndarray, p0: int, p1: int) -> np.nda
 
 
 def position_phase_sum(grid: KGrid) -> np.ndarray:
-    """S[p, q] = (1/N) sum_j R_j e^{i (k_p - k_q) R_j} by direct summation.
+    """S[p, q] = (1/N) sum_j R_j e^{i (k_p - k_q) R_j}.
 
     Equals Rbar on the diagonal and stays generically nonzero off it; this
     is the piece that distinguishes the finite-basis position matrix from
     a k-diagonal object.  (k_p - k_q) R_j splits into an origin phase and
-    a pure grid phase depending on (p - q) mod N only, so the direct sum
-    is taken once per offset instead of once per (p, q) pair.
+    a pure grid phase depending on (p - q) mod N only, whose sum over sites
+    has a closed form; S equals its conjugate transpose bit for bit.
     """
     return _phase_rows(grid, _phase_offsets(grid), 0, grid.spec.n_cells)
 
@@ -142,13 +142,14 @@ class PositionMatrix:
     Composite index (m, p) -> m*N + p, band index outer, matching the
     Kronecker embedding order.  ``derivative_scheme`` records whether the
     k-diagonal blocks came from analytic or central-difference column
-    derivatives.
+    derivatives; ``hermiticity_tol`` is the bound the defect was held to.
     """
 
     grid: KGrid
     entries: np.ndarray
     derivative_scheme: str
     hermiticity_defect: float
+    hermiticity_tol: float
 
     @property
     def dim(self) -> int:
@@ -164,7 +165,7 @@ class PositionMatrix:
         return self.entries.reshape(nb, nk, nb, nk)[:, p, :, q]
 
 
-def position_matrix(field: BlochField, hermiticity_tol: float = CRM_HERMITICITY_TOL) -> PositionMatrix:
+def position_matrix(field: BlochField) -> PositionMatrix:
     """Assemble the full position matrix.
 
     Entry ((m,p),(n,q)) = delta_{pq} A_{m,n}(k_p)
@@ -176,12 +177,10 @@ def position_matrix(field: BlochField, hermiticity_tol: float = CRM_HERMITICITY_
     The entries are written in place, ``ROW_BLOCK`` momentum rows p at a
     time: the overlaps K of those rows times the matching rows of S, plus
     the connection on the diagonal.  Beyond the (NB*N)^2 output, memory is
-    O(ROW_BLOCK * NB^2 * N); the per-offset DFT, taken before the output
-    is allocated, briefly holds an N x N phase table.  Raises
-    :class:`NonHermitianInput`, naming the composite index (m, p, n, q)
-    where |E - E^dag| peaks, when the matrix violates Hermiticity beyond
-    ``hermiticity_tol``; that diagnoses a bad gauge or an under-resolved
-    grid.
+    O(ROW_BLOCK * NB^2 * N).  Raises :class:`NonHermitianInput`, naming the
+    composite index (m, p, n, q) where |E - E^dag| peaks, when the matrix
+    violates Hermiticity beyond ``CRM_HERMITICITY_TOL`` times the lattice
+    constant; that diagnoses a bad gauge or an under-resolved grid.
     """
     nb, nk = field.n_bands, field.n_k
     conn = berry_connection(field)
@@ -199,14 +198,15 @@ def position_matrix(field: BlochField, hermiticity_tol: float = CRM_HERMITICITY_
     entries = entries.reshape(nb * nk, nb * nk)
 
     defect, (row, col) = _hermiticity_defect(entries)
-    if defect > hermiticity_tol:
-        m, p = divmod(row, nk)
-        n, q = divmod(col, nk)
+    tol = CRM_HERMITICITY_TOL * field.grid.spec.lattice_constant
+    if defect > tol:
+        (m, p), (n, q) = divmod(row, nk), divmod(col, nk)
         raise NonHermitianInput(
-            f"position matrix Hermiticity defect {defect:.3e} > {hermiticity_tol:g} "
+            f"position matrix Hermiticity defect {defect:.3e} > {tol:g} "
             f"at (m, p, n, q) = ({m}, {p}, {n}, {q})")
     return PositionMatrix(grid=field.grid, entries=entries,
-                          derivative_scheme=scheme, hermiticity_defect=defect)
+                          derivative_scheme=scheme, hermiticity_defect=defect,
+                          hermiticity_tol=tol)
 
 
 def _hermiticity_defect(entries: np.ndarray) -> tuple:

@@ -60,17 +60,20 @@ def test_bad_task_name(tmp_path, capsys):
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
 
 
-def test_crm_task_smoke(tmp_path, capsys):
+@pytest.mark.parametrize("a", [1.0, 1e3, 1e6])
+def test_crm_task_smoke(tmp_path, capsys, a):
+    # the Hermiticity guard scales with a: no round-off exit 3 at large a
     out = tmp_path / "out"
-    cfg = base_config("crm", out, lattice={"N": 4, "a": 1.0, "n_bands": 2})
+    cfg = base_config("crm", out, lattice={"N": 64, "a": a, "n_bands": 2})
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
     assert "hermiticity check: pass" in capsys.readouterr().out
     rows = read_csv(out / "crm.csv")
     assert rows[0] == ["m", "p", "n", "q", "re", "im"]
-    assert len(rows) - 1 == 8 * 8
+    assert len(rows) - 1 == 128 * 128
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["task"] == "crm"
     assert manifest["outputs"][0]["file"] == "crm.csv"
+    assert manifest["tolerances"] == {"crm_hermiticity": 1e-10 * a}
 
 
 def test_berry_phase_task_graphene(tmp_path):
