@@ -30,8 +30,8 @@ from .rmatrix import (ConnectionField, PositionMatrix, band_overlap,
 from .gauge import (CurvatureCheck, GaugeField, InvarianceReport,
                     apply_gauge_to_field, berry_phase,
                     curvature_substitution_check, diagonal_loop,
-                    diagonal_value, gauge_transform, random_gauge_field,
-                    similarity_transform, trace_loop)
+                    diagonal_value, gauge_audit, gauge_transform,
+                    random_gauge_field, similarity_transform, trace_loop)
 from .divergence import (SampledCellFunction, TranslationAudit,
                          TruncationStudy, gapped_basis_gram, gapped_cell_basis,
                          projection_residual, translation_audit,

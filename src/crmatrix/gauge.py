@@ -14,6 +14,11 @@ central difference of the generator itself: the loop sum of a central
 difference telescopes to zero on a periodic grid, which keeps the U(1)
 invariances exact instead of O(dk^2).  Non-commuting gauge fields fall
 back to differencing U^dag, with the documented O(dk^2) invariance error.
+
+:func:`gauge_audit` checks these claims seed by seed over random gauges.
+Its rows read four numbers per seed, so it computes only those entries (a
+band column under U(1)^NB, the diagonals under U(NB)), by the same draws,
+products and summation order as the whole-field functions: the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import ZeroOverlap
 from .model import BlochField, KGrid, stack_unitarity_defect
-from .rmatrix import _values, central_difference, link_overlaps
+from .rmatrix import _values, berry_connection, central_difference, link_overlaps
 
 ZERO_OVERLAP_TOL = 1e-12
 
@@ -56,14 +61,10 @@ class GaugeField:
         return stack_unitarity_defect(self.unitaries)
 
 
-def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
-                       scale: float = 0.3, diagonal: bool = False) -> GaugeField:
-    """Seeded random gauge field with ``modes`` Fourier harmonics.
-
-    modes=0 gives a k-independent unitary.  ``diagonal=True`` restricts
-    every Fourier coefficient to a real diagonal matrix, producing a
-    U(1)^NB phase field.  Fixed seed means a bitwise reproducible field.
-    """
+def _fourier_coefficients(n_bands: int, modes: int, seed: int, scale: float,
+                          diagonal: bool):
+    """The seeded cos and sin coefficients of harmonics 0..modes, each a
+    Hermitian (NB, NB) matrix, real and diagonal with ``diagonal``."""
     if modes < 0:
         raise ValueError("modes must be >= 0")
     rng = np.random.default_rng(seed)
@@ -75,33 +76,56 @@ def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
             + 1j * rng.normal(scale=scale, size=(n_bands, n_bands))
         return (x + x.conj().T) / 2.0
 
-    cos_coeffs = [herm() for _ in range(modes + 1)]
-    sin_coeffs = [herm() for _ in range(modes + 1)]
+    return (np.array([herm() for _ in range(modes + 1)]),
+            np.array([herm() for _ in range(modes + 1)]))
 
-    n = grid.n
+
+def _fourier_series(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray, grid: KGrid,
+                    kderiv: bool = False) -> np.ndarray:
+    """The generator H(k_p) of stacked coefficients on the grid, or with
+    ``kderiv`` its analytic k-derivative.  The mode angles are reduced mod
+    2 pi on the grid, so H is periodic bit-exactly; the arithmetic is
+    elementwise, so a slice of the coefficients gives that slice of H."""
+    n, a = grid.n, grid.spec.lattice_constant
     p = np.arange(n)
-    gen = np.zeros((n, n_bands, n_bands), dtype=complex)
-    gen_d = np.zeros_like(gen)
-    gen += cos_coeffs[0]
-    a = grid.spec.lattice_constant
-    for s in range(1, modes + 1):
-        # angle s*k_p*a reduced mod 2*pi on the grid: exact periodic wrap
+    at_p = (slice(None),) + (None,) * (cos_coeffs.ndim - 1)
+    out = np.zeros((n,) + cos_coeffs.shape[1:], dtype=complex)
+    if not kderiv:
+        out += cos_coeffs[0]
+    for s in range(1, len(cos_coeffs)):
         ang = 2.0 * np.pi * ((s * p) % n) / n
-        gen += np.cos(ang)[:, None, None] * cos_coeffs[s] \
-            + np.sin(ang)[:, None, None] * sin_coeffs[s]
-        gen_d += (s * a) * (-np.sin(ang)[:, None, None] * cos_coeffs[s]
-                            + np.cos(ang)[:, None, None] * sin_coeffs[s])
+        if kderiv:
+            out += (s * a) * (-np.sin(ang)[at_p] * cos_coeffs[s]
+                              + np.cos(ang)[at_p] * sin_coeffs[s])
+        else:
+            out += np.cos(ang)[at_p] * cos_coeffs[s] + np.sin(ang)[at_p] * sin_coeffs[s]
+    return out
 
+
+def _exp_i(generator: np.ndarray) -> np.ndarray:
+    """exp(i H) of a Hermitian (N, NB, NB) stack, by one stacked eigh."""
+    w, v = np.linalg.eigh(generator)
+    return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
+
+
+def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
+                       scale: float = 0.3, diagonal: bool = False) -> GaugeField:
+    """Seeded random gauge field with ``modes`` Fourier harmonics.
+
+    modes=0 gives a k-independent unitary.  ``diagonal=True`` restricts
+    every Fourier coefficient to a real diagonal matrix, producing a
+    U(1)^NB phase field.  Fixed seed means a bitwise reproducible field.
+    """
+    coeffs = _fourier_coefficients(n_bands, modes, seed, scale, diagonal)
+    gen = _fourier_series(*coeffs, grid)
     if diagonal:
-        unitaries = np.zeros_like(gen)
-        diag = np.exp(1j * np.diagonal(gen, axis1=1, axis2=2))
-        for m in range(n_bands):
-            unitaries[:, m, m] = diag[:, m]
+        unitaries, m = np.zeros_like(gen), np.arange(n_bands)
+        unitaries[:, m, m] = np.exp(1j * gen[:, m, m])
     else:
-        w, v = np.linalg.eigh(gen)
-        unitaries = np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
+        unitaries = _exp_i(gen)
     return GaugeField(grid=grid, unitaries=unitaries, generator=gen,
-                      generator_kderiv=gen_d, modes=modes, seed=seed, diagonal=diagonal)
+                      generator_kderiv=_fourier_series(*coeffs, grid, kderiv=True),
+                      modes=modes, seed=seed, diagonal=diagonal)
 
 
 def similarity_transform(matrix_field: np.ndarray, gauge: GaugeField) -> np.ndarray:
@@ -154,13 +178,19 @@ def berry_phase(field: BlochField, band: int) -> float:
     Raises :class:`ZeroOverlap` when any consecutive overlap is
     numerically zero (orthogonal neighbours make the product meaningless).
     """
-    if field.n_k < 3:
+    return _loop_phase(field.coeffs[:, :, band])
+
+
+def _loop_phase(cols: np.ndarray) -> float:
+    """:func:`berry_phase` of one band's (N, orbitals) columns."""
+    n_k = len(cols)
+    if n_k < 3:
         raise ValueError("need at least 3 grid points for a phase loop")
-    overlaps = link_overlaps(field.coeffs[:, :, band], axis=0)
+    overlaps = link_overlaps(cols, axis=0)
     small = np.abs(overlaps) < ZERO_OVERLAP_TOL
     if np.any(small):
         p = int(np.argmax(small))
-        raise ZeroOverlap(f"overlap between k indices {p} and {(p + 1) % field.n_k} "
+        raise ZeroOverlap(f"overlap between k indices {p} and {(p + 1) % n_k} "
                           f"has modulus {np.abs(overlaps[p]):.2e}")
     return float(-np.angle(np.prod(overlaps)))
 
@@ -174,14 +204,17 @@ def diagonal_value(matrix_field: np.ndarray, band: int, kindex: int) -> complex:
 
 def diagonal_loop(matrix_field: np.ndarray, band: int, grid: KGrid) -> float:
     """Closed-loop Riemann sum of the band diagonal: sum_p M_{n,n}(k_p) dk."""
-    vals = _values(matrix_field)
-    return float(np.real(np.sum(vals[:, band, band]) * grid.spacing))
+    return _loop_sum(_values(matrix_field)[:, band, band], grid)
 
 
 def trace_loop(matrix_field: np.ndarray, grid: KGrid) -> float:
     """Closed-loop Riemann sum of the trace, fixed ascending-p order."""
-    vals = _values(matrix_field)
-    return float(np.real(np.sum(np.trace(vals, axis1=1, axis2=2)) * grid.spacing))
+    return _loop_sum(np.trace(_values(matrix_field), axis1=1, axis2=2), grid)
+
+
+def _loop_sum(values: np.ndarray, grid: KGrid) -> float:
+    """Real part of the Riemann sum of ``values`` over the k loop."""
+    return float(np.real(np.sum(values) * grid.spacing))
 
 
 @dataclass(frozen=True)
@@ -257,3 +290,49 @@ class InvarianceReport:
     @property
     def invariant(self) -> bool:
         return self.delta <= self.tolerance
+
+
+def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: float,
+                band: int = 0, kindex: int = 0) -> list:
+    """Before/after rows of four functionals under ``seeds`` random gauges.
+
+    Gauge seed ``seed + s`` draws a U(1)^NB field and ``seed + s + 10000`` a
+    U(NB) field, as :func:`random_gauge_field` does.  Each seed gives four
+    :class:`InvarianceReport` rows: under U(1)^NB, ``diagonal_value`` (the
+    connection's band entry at ``kindex``, tolerance 1e-12, moved by d_k xi
+    by design) and ``diagonal_loop`` (1e-9); under U(NB), ``trace_loop``
+    (10 / N^2); and the re-gauged ribbon's ``berry_phase`` (1e-9).
+
+    Only what the rows read is computed: the ``before`` values once; per
+    seed the band column of the U(1)^NB generator xi, of the connection
+    (u M_bb u* + d_k xi) and of the ribbon (times u*), and the U(NB)
+    unitary with only the diagonals of U M U^dag and U i d_k(U^dag).  The
+    rows equal those of :func:`gauge_transform` and
+    :func:`apply_gauge_to_field` on whole fields bit for bit: each kept
+    entry has the same draws, elementwise synthesis and products in the
+    same order, and the skipped U(1)^NB terms are products with the exact
+    zeros of a diagonal unitary.
+    """
+    grid, nb, dk = field.grid, field.n_bands, field.grid.spacing
+    conn = berry_connection(field).values
+    names = ("diagonal_value", "diagonal_loop", "trace_loop", "berry_phase")
+    tolerances = (1e-12, 1e-9, 10.0 / grid.n ** 2, 1e-9)
+    before = (diagonal_value(conn, band, kindex), diagonal_loop(conn, band, grid),
+              trace_loop(conn, grid), berry_phase(field, band))
+    reports = []
+    for gauge_seed in range(seed, seed + seeds):
+        cos_coeffs, sin_coeffs = _fourier_coefficients(nb, modes, gauge_seed, scale, True)
+        xi = _fourier_series(cos_coeffs[:, band, band], sin_coeffs[:, band, band], grid)
+        u = np.exp(1j * xi)
+        a_bb = np.einsum("p,p,p->p", u, conn[:, band, band], u.conj()) \
+            + central_difference(xi, dk)
+        full = _exp_i(_fourier_series(
+            *_fourier_coefficients(nb, modes, gauge_seed + 10_000, scale, False), grid))
+        du = central_difference(full.conj().transpose(0, 2, 1), dk)
+        a_mm = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()) \
+            + 1j * np.einsum("pmi,pim->pm", full, du)
+        after = (complex(a_bb[kindex]), _loop_sum(a_bb, grid), _loop_sum(a_mm.sum(axis=1), grid),
+                 _loop_phase(np.einsum("pl,p->pl", field.coeffs[:, :, band], u.conj())))
+        reports += [InvarianceReport(name, band, gauge_seed, b, a, tol) for name, b, a, tol
+                    in zip(names, before, after, tolerances)]
+    return reports

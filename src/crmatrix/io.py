@@ -104,12 +104,3 @@ def write_manifest(outdir: Path, task: str, config: dict, seed, grids: dict,
         fh.write("\n")
     return path
 
-
-def ordered_map(fn, items, workers: int = 1) -> list:
-    """Map preserving input order; worker count never changes the result."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-

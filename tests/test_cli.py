@@ -159,19 +159,17 @@ def test_divergence_and_incompleteness_tasks(tmp_path):
     assert all(abs(float(r[1]) - 1.0) < 1e-12 for r in rows[1:])
 
 
-def test_gauge_audit_task_and_worker_determinism(tmp_path):
+def test_gauge_audit_task_rerun_determinism(tmp_path):
     outs = []
-    for label, workers in (("w1", "1"), ("w4", "4"), ("w1b", "1")):
+    for label in ("r1", "r2"):
         out = tmp_path / label
         cfg = base_config("gauge-audit", out,
                           lattice={"N": 64, "a": 1.0, "n_bands": 2}, seeds=6)
-        code = main(["run", "--config", str(write_config(tmp_path, cfg, label + ".json")),
-                     "--workers", workers])
-        assert code == 0
+        assert main(["run", "--config", str(write_config(tmp_path, cfg, label + ".json"))]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         outs.append(((out / "gauge_audit.csv").read_bytes(),
                      manifest["outputs"][0]["sha256"]))
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
 
 
 def test_seed_override_changes_audit(tmp_path):
@@ -400,18 +398,29 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_workers_below_one_exits_2(tmp_path, capsys, monkeypatch, workers):
-    """A worker count below 1 is refused before the task runs, so no thread
-    is started and no output directory is made."""
-    def no_threads(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_threads)
+def test_removed_workers_flag_exits_2(tmp_path, capsys):
+    """``--workers`` is no longer an option: argparse refuses it with exit
+    2 before the config is read, so no output directory is made."""
     out = tmp_path / "out"
     cfg = base_config("gauge-audit", out, seeds=2)
-    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--workers", workers]) == 2
-    assert "--workers" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(write_config(tmp_path, cfg)), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_incompleteness_gram_guard_exits_3(tmp_path, capsys, monkeypatch):
+    """A worst Gram off-diagonal at or above the recorded gram_off_diag
+    tolerance stops the run with exit 3, naming n_max, N and the value."""
+    monkeypatch.setattr("crmatrix.divergence.gapped_basis_gram",
+                        lambda n_max, n, a, samples: (None, 1e-10))
+    out = tmp_path / "out"
+    cfg = base_config("incompleteness", out, orthogonality={"n_max": 3, "N": 5})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert "NumericalGuardError" in err
+    assert "worst Gram off-diagonal 1.000e-10 at orthogonality n_max 3, N 5" in err
     assert not out.exists()
 
 

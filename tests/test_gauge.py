@@ -1,15 +1,19 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from crmatrix import (BlochField, LatticeSpec, TwoBandAngles, ZeroOverlap,
-                      apply_gauge_to_field, berry_connection, berry_phase,
-                      build_kgrid, central_difference,
+from crmatrix import (BlochField, InvarianceReport, LatticeSpec, TwoBandAngles,
+                      ZeroOverlap, apply_gauge_to_field, berry_connection,
+                      berry_phase, build_kgrid, central_difference,
                       curvature_substitution_check, diagonal_loop,
-                      diagonal_value, gauge_transform, pump_family_from_angles,
-                      random_gauge_field, similarity_transform, trace_loop,
-                      two_band_field)
+                      diagonal_value, gauge, gauge_audit, gauge_transform,
+                      pump_family_from_angles, random_gauge_field,
+                      similarity_transform, trace_loop, two_band_field)
+from crmatrix.cli import main
 from crmatrix.gauge import gauge_inhomogeneous_term
-from crmatrix.presets import identity_field
+from crmatrix.presets import generic_two_band, identity_field
 
 from conftest import smooth_field
 
@@ -383,3 +387,85 @@ def test_curvature_check_local_failure_global_equality():
     assert chk.max_abs_g > 1e-2
     assert chk.max_pointwise_gap > 1e-2
     assert chk.max_loop_mismatch < 1e-6
+
+
+# -- the gauge audit -------------------------------------------------------
+
+
+def ref_gauge_audit(field, seed, seeds, modes, scale, band=0, kindex=0):
+    """The whole-field audit: per seed, both gauge fields and both
+    transformed connection stacks, read by the four public functionals."""
+    conn = berry_connection(field).values
+    grid = field.grid
+    reports = []
+    for gauge_seed in range(seed, seed + seeds):
+        diag = random_gauge_field(field.n_bands, grid, modes, gauge_seed,
+                                  scale=scale, diagonal=True)
+        full = random_gauge_field(field.n_bands, grid, modes, gauge_seed + 10_000,
+                                  scale=scale, diagonal=False)
+        m_diag = gauge_transform(conn, diag)
+        m_full = gauge_transform(conn, full)
+        reports += [
+            InvarianceReport("diagonal_value", band, gauge_seed,
+                             diagonal_value(conn, band, kindex),
+                             diagonal_value(m_diag, band, kindex), 1e-12),
+            InvarianceReport("diagonal_loop", band, gauge_seed,
+                             diagonal_loop(conn, band, grid),
+                             diagonal_loop(m_diag, band, grid), 1e-9),
+            InvarianceReport("trace_loop", band, gauge_seed, trace_loop(conn, grid),
+                             trace_loop(m_full, grid), 10.0 / grid.n ** 2),
+            InvarianceReport("berry_phase", band, gauge_seed, berry_phase(field, band),
+                             berry_phase(apply_gauge_to_field(field, diag), band), 1e-9),
+        ]
+    return reports
+
+
+THREE_BANDS = [["-2 + 0.2*cos(k*a)", "0.3*exp(-j*(k*a + 0.4))", "0.2*sin(k*a)"],
+               ["0.3*exp(j*(k*a + 0.4))", "0.1*cos(k*a + 0.4)", "0.25*exp(-j*(k*a + 0.4))"],
+               ["0.2*sin(k*a)", "0.25*exp(j*(k*a + 0.4))", "2 + 0.3*cos(k*a + 0.8)"]]
+
+
+@pytest.mark.parametrize("n_bands, model, params", [
+    (2, {"preset": "two-band-generic"}, {}),
+    (2, {"preset": "graphene-ribbon"}, {"modes": 4}),
+    (1, {"preset": "identity"}, {}),
+    (3, {"hamiltonian": THREE_BANDS}, {"band": 2, "kindex": 5}),
+    (2, {"preset": "two-band-generic"}, {"band": 1, "kindex": 17}),
+    (2, {"preset": "two-band-generic"}, {"modes": 0}),
+    (2, {"preset": "two-band-generic"}, {"scale": 0}),
+], ids=["generic", "graphene-modes4", "identity-nb1", "hamiltonian-nb3", "band1-kindex17",
+        "modes0", "scale0"])
+def test_gauge_audit_csv_equals_whole_field_reference(tmp_path, monkeypatch, n_bands, model,
+                                                      params):
+    """gauge_audit.csv holds the same bytes whether the rows come from the
+    need-only audit or from whole transformed fields."""
+    def audit_csv(label):
+        out = tmp_path / label
+        cfg = {"lattice": {"N": 64, "a": 1.0, "n_bands": n_bands}, "model": model,
+               "task": {"name": "gauge-audit", "params": {"seeds": 6, **params}},
+               "output": {"directory": str(out)}, "seed": 11}
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return (out / "gauge_audit.csv").read_bytes(), manifest["tolerances"]
+
+    need_only = audit_csv("need-only")
+    monkeypatch.setattr(gauge, "gauge_audit", ref_gauge_audit)
+    assert audit_csv("whole-field") == need_only
+
+
+def test_gauge_audit_memory_is_per_seed():
+    """The audit holds O(1) connection-sized stacks, not one per seed: its
+    tracemalloc peak at N=1024 over 20 seeds measures 10x one (N, NB, NB)
+    complex stack (the whole-field reference measures 15.6x)."""
+    gauge_audit(smooth_field(n_cells=16), 0, 1, 3, 0.2)  # first-call allocations
+    field = generic_two_band(LatticeSpec(n_cells=1024, lattice_constant=1.0, n_bands=2))
+    stack = field.n_k * field.n_bands ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        gauge_audit(field, 7, 20, 3, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * stack
