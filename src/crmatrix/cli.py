@@ -173,17 +173,35 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _check_task_params(params: dict, table: dict, spec: LatticeSpec):
+def _task_params(params: dict, table: dict, spec: LatticeSpec) -> dict:
+    """Each task.params value parsed by its check: the given ones in config
+    order, then the defaults of the rest; a None default stays unset."""
     _check_keys(params, "task.params", dict.fromkeys(table, False))
-    for key, value in params.items():
-        check = table[key][1]
-        if check is not None:
-            check(value, f"task.params.{key}", spec)
+    parsed = {key: table[key][1](value, f"task.params.{key}", spec)
+              for key, value in params.items()}
+    for key, (default, check) in table.items():
+        if key not in parsed:
+            parsed[key] = None if default is None else check(default, f"task.params.{key}", spec)
+    return parsed
 
 
-def load_config(path: Path) -> dict:
-    """Read and validate a run config; every error is a ConfigError naming
-    the dotted key, raised before anything is written."""
+class Context(NamedTuple):
+    """A parsed run config, and a task handler's one argument: the config
+    as read (for the manifest), its lattice, the builder of its model
+    field, its parsed task parameters and its seed.  Handlers return
+    (outputs, tolerances); outputs maps each file name, in manifest order,
+    to its table {column name: column} for :func:`io.write_csv`."""
+
+    cfg: dict
+    spec: LatticeSpec
+    field: Callable[[], BlochField]
+    params: dict
+    seed: int
+
+
+def load_config(path: Path) -> Context:
+    """Read, validate and parse a run config; every error is a ConfigError
+    naming the dotted key, raised before anything is written."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -195,12 +213,11 @@ def load_config(path: Path) -> dict:
                                 "output": False, "seed": False})
     lat = cfg["lattice"]
     _check_keys(lat, "lattice", {"N": True, "a": True, "n_bands": True, "origin": False})
-    _integer(lat["N"], "lattice.N")
-    if _number(lat["a"], "lattice.a") <= 0:
+    n_cells, a = _integer(lat["N"], "lattice.N"), _number(lat["a"], "lattice.a")
+    if a <= 0:
         raise ConfigError("lattice.a must be a positive number")
-    _integer(lat["n_bands"], "lattice.n_bands")
-    _number(lat.get("origin", 0.0), "lattice.origin")
-    spec = _lattice(cfg)
+    spec = LatticeSpec(n_cells, a, _integer(lat["n_bands"], "lattice.n_bands"),
+                       _number(lat.get("origin", 0.0), "lattice.origin"))
 
     model = cfg["model"]
     _check_keys(model, "model", {"preset": False, "params": False,
@@ -222,7 +239,7 @@ def load_config(path: Path) -> dict:
     n_bands = 2 if kind == "angles" else preset and preset.n_bands
     if n_bands is not None and spec.n_bands != n_bands:
         raise ConfigError(f"lattice.n_bands must be {n_bands} for model {kind!r}")
-    _model_builder(model, spec)
+    field = _model_builder(model, spec)
 
     task = cfg["task"]
     _check_keys(task, "task", {"name": True, "params": False})
@@ -233,39 +250,14 @@ def load_config(path: Path) -> dict:
         where = f"model.preset {kind!r}" if "preset" in model else f"model.{kind}"
         raise ConfigError(f"{where} cannot run task {task['name']}, which accepts "
                           + ", ".join(entry.models))
-    _check_task_params(task.get("params", {}), entry.params, spec)
+    params = _task_params(task.get("params", {}), entry.params, spec)
     if "output" in cfg:
         _check_keys(cfg["output"], "output", {"directory": True})
-    if "seed" in cfg:
-        _integer(cfg["seed"], "seed", 0)
-    return cfg
-
-
-def _lattice(cfg: dict) -> LatticeSpec:
-    lat = cfg["lattice"]
-    return LatticeSpec(n_cells=lat["N"], lattice_constant=float(lat["a"]),
-                       n_bands=lat["n_bands"], origin=float(lat.get("origin", 0.0)))
-
-
-def build_model_field(cfg: dict, spec: LatticeSpec) -> BlochField:
-    return _model_builder(cfg["model"], spec)()
+    seed = _integer(cfg["seed"], "seed", 0) if "seed" in cfg else 0
+    return Context(cfg, spec, field, params, seed)
 
 
 # -- tasks -------------------------------------------------------------------
-
-class Context(NamedTuple):
-    """A task handler's one argument.  Handlers return (outputs, tolerances);
-    outputs maps each file name, in manifest order, to its table
-    {column name: column} for :func:`io.write_csv`."""
-
-    cfg: dict
-    spec: LatticeSpec
-    params: dict
-    seed: int
-
-    def field(self) -> BlochField:
-        return build_model_field(self.cfg, self.spec)
-
 
 def _complex_table(values: np.ndarray, *index_names: str) -> dict:
     """One row per entry of ``values`` in C order: its indices, then its
@@ -317,18 +309,17 @@ def _task_gauge_audit(ctx: Context):
 
 def _task_shift_current(ctx: Context):
     field, params = ctx.field(), ctx.params
-    fillings = params["fillings"]
-    if fillings is None:
+    occupation = params["fillings"]
+    if occupation is None:
         # fill the energetically lower band(s) at half filling of the set
         order = np.argsort(field.energies[0])
         fillings = np.zeros(field.n_bands)
         fillings[order[: field.n_bands // 2]] = 1.0
+        occupation = transport.OccupationSpec(fillings)
     # frequencies and eta passed their checks; the amplitude's length can still disagree
     drive = _library_rule("task.params.amplitude", transport.DriveSpec,
-                          _frequencies(params["frequencies"]), params["amplitude"],
-                          params["eta"])
-    result = transport.shift_current_spectrum(
-        field, transport.OccupationSpec(np.asarray(fillings, dtype=float)), drive)
+                          params["frequencies"], params["amplitude"], params["eta"])
+    result = transport.shift_current_spectrum(field, occupation, drive)
     print(f"skipped shift-undefined fraction: {result.skipped_fraction:.4f}")
     skipped = np.full(len(result.frequencies), result.skipped_fraction)
     return ({"spectrum.csv": {"omega": result.frequencies, "J_s": result.currents,
@@ -397,20 +388,22 @@ class Int(NamedTuple):
             raise ConfigError(f"{path} must be a list")
         for item in value if self.many else [value]:
             _integer(item, path, self.low, self.high and getattr(spec, self.high))
+        return value
 
 
-# Checks of the other task parameters: check(value, path, spec) raises a
-# ConfigError naming ``path``; where the library has a rule, it applies it.
+# Checks of the other task parameters: check(value, path, spec) returns the
+# parsed value or raises a ConfigError naming ``path``; where the library
+# has a rule, it applies it.
 
-def _real(value, path: str, spec: LatticeSpec):
-    _number(value, path)
-
-
-def _reals(value, path: str, spec: LatticeSpec):
-    _library_rule(path, np.asarray, value, dtype=float)
+def _real(value, path: str, spec: LatticeSpec) -> float:
+    return _number(value, path)
 
 
-def _frequencies(value, path: str = "task.params.frequencies", spec=None) -> np.ndarray:
+def _reals(value, path: str, spec: LatticeSpec) -> np.ndarray:
+    return _library_rule(path, np.asarray, value, dtype=float)
+
+
+def _frequencies(value, path: str, spec: LatticeSpec) -> np.ndarray:
     """The drive frequencies of a ``{"start", "stop", "count"}`` object or
     a list, strictly increasing by DriveSpec's rule."""
     if isinstance(value, dict):
@@ -422,36 +415,40 @@ def _frequencies(value, path: str = "task.params.frequencies", spec=None) -> np.
 
 
 def _broadening(value, path: str, spec: LatticeSpec):
-    _library_rule(path, transport.DriveSpec, [1.0], 1.0, value)
+    return _library_rule(path, transport.DriveSpec, [1.0], 1.0, value).broadening
 
 
-def _fillings(value, path: str, spec: LatticeSpec):
+def _fillings(value, path: str, spec: LatticeSpec) -> Optional[transport.OccupationSpec]:
     if value is None:
-        return
-    fillings = _library_rule(path, transport.OccupationSpec, value).fillings
-    if fillings.shape not in ((spec.n_bands,), (spec.n_cells, spec.n_bands)):
+        return None
+    occupation = _library_rule(path, transport.OccupationSpec, value)
+    if occupation.fillings.shape not in ((spec.n_bands,), (spec.n_cells, spec.n_bands)):
         raise ConfigError(f"{path} must hold one filling per band, or an N x n_bands table")
+    return occupation
 
 
 def _windows(value, path: str, spec: LatticeSpec):
     Int(1, many=True)(value, path, spec)
     _library_rule(path, divergence.check_windows, value)
+    return value
 
 
 def _centering(value, path: str, spec: LatticeSpec):
     if value not in divergence.CENTERINGS:
         raise ConfigError(f"{path} must be one of {divergence.CENTERINGS}")
+    return value
 
 
 def _orthogonality(value, path: str, spec: LatticeSpec):
     _check_keys(value, path, {"n_max": True, "N": True})
     for key, item in value.items():
         _integer(item, f"{path}.{key}")
+    return value
 
 
 class Task(NamedTuple):
     """A task's handler, the model kinds it runs on (None: any, unused),
-    and its task.params keys, each with its (default, check or None)."""
+    and its task.params keys, each with its (default, check)."""
 
     handler: Callable[[Context], tuple]
     models: Optional[tuple]
@@ -489,21 +486,18 @@ TASKS = {
 }
 
 
-def run(cfg: dict, outdir_override=None, seed_override=None, verbose: bool = False) -> int:
-    """Run the task of a config that :func:`load_config` accepted."""
-    spec = _lattice(cfg)
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
+def run(ctx: Context, outdir_override=None, verbose: bool = False) -> int:
+    """Run the task of the :class:`Context` that :func:`load_config`
+    returned, then write its files and the manifest."""
+    cfg, spec = ctx.cfg, ctx.spec
     default_dir = os.environ.get("CRMATRIX_OUTDIR", "crmatrix-out")
     outdir = Path(outdir_override or cfg.get("output", {}).get("directory", default_dir))
     task = cfg["task"]["name"]
-    entry = TASKS[task]
-    params = {key: default for key, (default, _) in entry.params.items()}
-    ctx = Context(cfg, spec, {**params, **cfg["task"].get("params", {})}, seed)
-    outputs, tolerances = entry.handler(ctx)
+    outputs, tolerances = TASKS[task].handler(ctx)
     outdir.mkdir(parents=True, exist_ok=True)
     files = [(name, io.write_csv(outdir / name, table)) for name, table in outputs.items()]
 
-    io.write_manifest(outdir, task, cfg, seed,
+    io.write_manifest(outdir, task, cfg, ctx.seed,
                       grids={"N": spec.n_cells, "a": spec.lattice_constant,
                              "n_bands": spec.n_bands},
                       tolerances=tolerances, files=files)
@@ -534,11 +528,10 @@ def main(argv=None) -> int:
         print(list_presets())
         return 0
     try:
-        cfg = load_config(args.config)
+        ctx = load_config(args.config)
         if args.seed is not None:
-            _integer(args.seed, "--seed", 0)
-        return run(cfg, outdir_override=args.outdir, seed_override=args.seed,
-                   verbose=args.verbose)
+            ctx = ctx._replace(seed=_integer(args.seed, "--seed", 0))
+        return run(ctx, outdir_override=args.outdir, verbose=args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -145,10 +145,6 @@ class BlochField:
     def n_k(self) -> int:
         return self.coeffs.shape[0]
 
-    def column(self, band: int, kindex: int) -> np.ndarray:
-        """Coefficient column of one band at one grid point."""
-        return self.coeffs[kindex][:, band]
-
     def unitarity_defect(self) -> float:
         return stack_unitarity_defect(self.coeffs)
 
@@ -170,8 +166,13 @@ def two_band_columns(theta, phi) -> np.ndarray:
     Column 0 is (cos(t/2), sin(t/2) e^{i phi}); column 1 is
     (-sin(t/2) e^{-i phi}, cos(t/2)).  The second entry of column 1 uses
     cos(t/2): that is the unique completion making the columns orthonormal
-    and reproducing the closed-form band overlaps.
+    and reproducing the closed-form band overlaps.  A non-finite angle, or
+    theta outside [0, pi], is a ValueError.
     """
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+        raise ValueError("angle functions produced non-finite values on the grid")
+    if np.any(theta < -1e-12) or np.any(theta > np.pi + 1e-12):
+        raise ValueError("theta must stay within [0, pi] on the grid")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     coeffs = np.empty(np.shape(c) + (2, 2), dtype=complex)
     coeffs[..., 0, 0] = c
@@ -188,14 +189,10 @@ def two_band_field(angles: TwoBandAngles, grid: KGrid, energies: Optional[np.nda
     k = grid.points
     th = np.asarray(angles.theta(k), dtype=float)
     ph = np.asarray(angles.phi(k), dtype=float)
-    if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ph))):
-        raise ValueError("angle functions produced non-finite values on the grid")
-    if np.any(th < -1e-12) or np.any(th > np.pi + 1e-12):
-        raise ValueError("theta must stay within [0, pi] on the grid")
+    coeffs = two_band_columns(th, ph)
     if grid.spec.n_bands != 2:
         raise ValueError("two_band_field requires a 2-band lattice spec")
 
-    coeffs = two_band_columns(th, ph)
     dcoeffs = None
     if angles.has_derivatives:
         c, s = np.cos(th / 2.0), np.sin(th / 2.0)

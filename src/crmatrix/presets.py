@@ -57,7 +57,8 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
     sublattice mass opens a gap, makes theta k-dependent, and is what
     gives the loop a nonvanishing shift current.  Column 0 is the upper
     band; energies are attached.  A loop through a band-touching point
-    (e.g. radius 0) raises :class:`DegenerateRibbon`.
+    (e.g. radius 0), or zero hopping and zero mass, raises
+    :class:`DegenerateRibbon`.
     """
     if not bond > 0:
         raise ValueError("bond length must be > 0")
@@ -70,6 +71,9 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
     if np.any(np.abs(f) < 1e-12):
         raise DegenerateRibbon("loop passes through the band-touching point")
     energy = np.sqrt(mass ** 2 + (hopping * np.abs(f)) ** 2)
+    if np.any(energy == 0):
+        raise DegenerateRibbon(f"both bands have zero energy at k index "
+                               f"{int(np.argmax(energy == 0))} (hopping and mass both 0)")
     theta = np.arccos(np.clip(mass / energy, -1.0, 1.0))
     coeffs = two_band_columns(theta, -np.angle(f))
     energies = np.column_stack([energy, -energy])

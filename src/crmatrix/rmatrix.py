@@ -180,7 +180,8 @@ def position_matrix(field: BlochField) -> PositionMatrix:
     O(ROW_BLOCK * NB^2 * N).  Raises :class:`NonHermitianInput`, naming the
     composite index (m, p, n, q) where |E - E^dag| peaks, when the matrix
     violates Hermiticity beyond ``CRM_HERMITICITY_TOL`` times the lattice
-    constant; that diagnoses a bad gauge or an under-resolved grid.
+    constant; that diagnoses a bad gauge or an under-resolved grid.  A NaN
+    entry never passes: its defect is NaN, named at its own index.
     """
     nb, nk = field.n_bands, field.n_k
     conn = berry_connection(field)
@@ -199,7 +200,7 @@ def position_matrix(field: BlochField) -> PositionMatrix:
 
     defect, (row, col) = _hermiticity_defect(entries)
     tol = CRM_HERMITICITY_TOL * field.grid.spec.lattice_constant
-    if defect > tol:
+    if not defect <= tol:
         (m, p), (n, q) = divmod(row, nk), divmod(col, nk)
         raise NonHermitianInput(
             f"position matrix Hermiticity defect {defect:.3e} > {tol:g} "

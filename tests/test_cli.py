@@ -1,10 +1,13 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crmatrix.cli import list_presets, main
+from crmatrix import LatticeSpec, cli
+from crmatrix.cli import list_presets, load_config, main
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -237,11 +240,10 @@ def test_every_task_csv_schema(tmp_path):
 def test_csv_seventeen_digit_round_trip(tmp_path):
     out = tmp_path / "out"
     cfg = base_config("connection", out, lattice={"N": 8, "a": 1.0, "n_bands": 2})
-    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 0
     from crmatrix import berry_connection
-    from crmatrix.cli import _lattice, build_model_field
-    field = build_model_field(cfg, _lattice(cfg))
-    conn = berry_connection(field)
+    conn = berry_connection(load_config(path).field())
     rows = read_csv(out / "connection.csv")[1:]
     for row in rows[:20]:
         p, m, n = int(row[0]), int(row[1]), int(row[2])
@@ -360,7 +362,9 @@ def test_integer_power_is_taken_in_floats(tmp_path, capsys):
     ({"angles": {"theta": "1.1", "phi": "k*a + 9**9**9**9"}}, "connection", 2),
     ({"preset": "qwz-pump", "params": {"mu": 0.0}}, "pump", 3),
     ({"preset": "graphene-ribbon", "params": {"radius": 0}}, "connection", 3),
-], ids=["overflow-exit-2", "gap-closing-pump-exit-3", "loop-on-band-touching-exit-3"])
+    ({"preset": "graphene-ribbon", "params": {"hopping": 0}}, "crm", 3),
+], ids=["overflow-exit-2", "gap-closing-pump-exit-3", "loop-on-band-touching-exit-3",
+        "zero-hopping-and-mass-exit-3"])
 def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, code):
     """Errors found only while a task runs leave nothing behind: the output
     directory is created after the task succeeds."""
@@ -434,3 +438,40 @@ def test_pump_guard_names_k_and_lambda_index(tmp_path, capsys):
     assert "DegenerateRibbon" in err
     assert "k index 0, lambda index 8" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, expressions", [
+    ({"hamiltonian": [["cos(k)", "sin(k)"], ["sin(k)", "-cos(k)"]]}, 4),
+    ({"angles": {"theta": "1.1 + 0.4*cos(k*a)", "phi": "k*a"}}, 2),
+], ids=["hamiltonian", "angles"])
+def test_each_expression_compiled_once_per_run(tmp_path, monkeypatch, model, expressions):
+    compiled, compile_expr = [], cli._compile_expr
+    monkeypatch.setattr(cli, "_compile_expr",
+                        lambda expr, path: compiled.append(path) or compile_expr(expr, path))
+    cfg = base_config("connection", tmp_path / "out", model=model)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert len(compiled) == len(set(compiled)) == expressions
+
+
+def test_load_config_parses_defaults_like_given_values(tmp_path):
+    cfg = base_config("shift-current", tmp_path / "out", model=GRAPHENE, eta=1)
+    ctx = load_config(write_config(tmp_path, cfg))
+    assert ctx.spec == LatticeSpec(n_cells=16, lattice_constant=1.0, n_bands=2)
+    assert ctx.seed == 7
+    np.testing.assert_array_equal(ctx.params["frequencies"], np.linspace(0.5, 4.0, 176))
+    np.testing.assert_array_equal(ctx.params["amplitude"], 1.0)
+    assert ctx.params["eta"] == 1
+    assert ctx.params["fillings"] is None
+    cfg["task"]["params"]["fillings"] = [0, 1]
+    ctx = load_config(write_config(tmp_path, cfg))
+    np.testing.assert_array_equal(ctx.params["fillings"].fillings, [0.0, 1.0])
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"A config is a single JSON file:\s*```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(example.group(1))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--outdir", str(out)]) == 0
+    assert len(read_csv(out / "spectrum.csv")) == 102

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from crmatrix import gauge, io
-from crmatrix.cli import _lattice, build_model_field, main
+from crmatrix.cli import load_config, main
 from crmatrix.rmatrix import berry_connection, position_matrix
 
 
@@ -63,7 +63,7 @@ def run_cli(tmp_path, task, model, lattice, **params):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 0
-    return cfg, out
+    return path, out
 
 
 GENERIC = {"preset": "two-band-generic", "params": {"theta0": 1.2, "phi_amp": 0.35}}
@@ -76,8 +76,8 @@ ANGLES = {"angles": {"theta": "1.1 + 0.3*sin(k*a)", "phi": "2*k*a + 0.2*cos(k*a)
     ({"preset": "identity"}, {"N": 4, "a": 1.0, "n_bands": 3}),
 ], ids=["generic", "angles", "identity-3-band"])
 def test_crm_csv_equals_row_reference(tmp_path, model, lattice):
-    cfg, out = run_cli(tmp_path, "crm", model, lattice)
-    pm = position_matrix(build_model_field(cfg, _lattice(cfg)))
+    path, out = run_cli(tmp_path, "crm", model, lattice)
+    pm = position_matrix(load_config(path).field())
     ref = tmp_path / "ref.csv"
     rows = ref_write_csv(ref, ("m", "p", "n", "q", "re", "im"), ref_position_matrix_rows(pm))
     assert (out / "crm.csv").read_bytes() == ref.read_bytes()
@@ -86,8 +86,8 @@ def test_crm_csv_equals_row_reference(tmp_path, model, lattice):
 
 @pytest.mark.parametrize("model", [GENERIC, ANGLES], ids=["generic", "angles"])
 def test_connection_csv_equals_row_reference(tmp_path, model):
-    cfg, out = run_cli(tmp_path, "connection", model, {"N": 7, "a": 1.1, "n_bands": 2})
-    conn = berry_connection(build_model_field(cfg, _lattice(cfg)))
+    path, out = run_cli(tmp_path, "connection", model, {"N": 7, "a": 1.1, "n_bands": 2})
+    conn = berry_connection(load_config(path).field())
     ref = tmp_path / "ref.csv"
     ref_write_csv(ref, ("p", "m", "n", "re", "im"), ref_connection_rows(conn))
     assert (out / "connection.csv").read_bytes() == ref.read_bytes()

@@ -3,8 +3,8 @@ import pytest
 
 from crmatrix import (DegenerateRibbon, LatticeSpec, TwoBandAngles, build_kgrid,
                       eigenfield_from_hamiltonian, eigenfield_from_stack, fix_phase_gauge,
-                      graphene_phases, honeycomb_phasor_sum, pump_family_from_hamiltonian,
-                      pump_family_from_stack, two_band_field)
+                      graphene_phases, honeycomb_phasor_sum, pump_family_from_angles,
+                      pump_family_from_hamiltonian, pump_family_from_stack, two_band_field)
 from crmatrix.model import two_band_columns
 from crmatrix.presets import qwz_hamiltonian, qwz_pump
 from crmatrix.rmatrix import central_difference
@@ -81,6 +81,19 @@ def test_two_band_rejects_bad_angles():
         two_band_field(TwoBandAngles(theta=lambda k: k * np.nan, phi=lambda k: k), grid)
     with pytest.raises(ValueError):
         two_band_field(TwoBandAngles(theta=lambda k: 4.0 + 0 * k, phi=lambda k: k), grid)
+
+
+@pytest.mark.parametrize("theta, phi, message", [
+    (lambda k, lam: k * np.nan, lambda k, lam: k, "non-finite"),
+    (lambda k, lam: 1.0 + 0 * k, lambda k, lam: k + np.nan, "non-finite"),
+    (lambda k, lam: 5.0 + 0 * k, lambda k, lam: k, r"\[0, pi\]"),
+], ids=["nan-theta", "nan-phi", "theta-5"])
+def test_pump_family_from_angles_rejects_bad_angles(theta, phi, message):
+    """The two-band column builder checks the angles for every builder, so a
+    pump family cannot carry a NaN into pumped_charge or chern_number."""
+    grid = build_kgrid(LatticeSpec(n_cells=8, lattice_constant=1.0, n_bands=2))
+    with pytest.raises(ValueError, match=message):
+        pump_family_from_angles(theta, phi, grid, 4)
 
 
 def test_field_unitarity_invariant():

@@ -314,6 +314,24 @@ def test_position_matrix_guard_names_peak_index():
                                "at (m, p, n, q) = (1, 30, 1, 30)")
 
 
+@pytest.mark.parametrize("n_bands, n_cells, p, m", [(2, 8, 3, 0), (3, 48, 40, 2)])
+def test_position_matrix_guard_rejects_nan(n_bands, n_cells, p, m):
+    """One NaN coefficient never passes the guard: the defect is NaN, and the
+    guard names the first NaN of |E - E^dag| in C order, across row stripes."""
+    clean = mixed_field(n_bands, n_cells, 1.0, 0.0, analytic=True)
+    coeffs = clean.coeffs.copy()
+    coeffs[p, 1, m] = np.nan
+    field = BlochField(grid=clean.grid, coeffs=coeffs, dcoeffs=clean.dcoeffs)
+    entries, _ = ref_position_matrix(field)
+    bad = np.isnan(entries - entries.conj().T)
+    (m0, p0), (n0, q0) = (divmod(int(i), n_cells)
+                          for i in np.unravel_index(np.argmax(bad), bad.shape))
+    with pytest.raises(NonHermitianInput) as info:
+        position_matrix(field)
+    assert str(info.value) == ("position matrix Hermiticity defect nan > 1e-10 "
+                               f"at (m, p, n, q) = ({m0}, {p0}, {n0}, {q0})")
+
+
 @pytest.mark.parametrize("field", [smooth_field(n_cells=512, seed=4),
                                    identity_field(LatticeSpec(n_cells=1024, n_bands=1))],
                          ids=["two-band-512", "identity-1024"])
