@@ -20,14 +20,14 @@ cell = SampledCellFunction.from_callable(
     lambda r: np.sin(2 * np.pi * r / a) ** 2 + 0.2, a, 2048).normalized()
 
 windows = [8, 16, 32, 64, 128, 256]
-study = truncated_position_expectation(cell, 0.0, windows, FROM_ORIGIN)
+study = truncated_position_expectation(cell, windows, FROM_ORIGIN)
 print("truncated <r> vs window size W:")
 for w, v in zip(study.windows, study.values):
     print(f"  W = {w:4d}   <r>_W = {v:10.4f}")
 print(f"linear fit: slope {study.slope:.4f}, R^2 = {study.r_squared:.6f} "
       "- unbounded growth, no W-independent value exists")
 
-audit = translation_audit(cell, 0.0, 64)
+audit = translation_audit(cell, 64)
 print(f"\none-cell translation at W = 64: before {audit.before:.4f}, "
       f"after {audit.after:.4f}, shift {audit.measured_shift:+.4f} "
       f"(predicted {audit.predicted_shift:+.1f})")

@@ -24,9 +24,9 @@ from .projection import (band_factor, embedded_gram, kron_embed,
                          wannier_coefficient, wannier_inverse)
 from .rmatrix import (ConnectionField, PositionMatrix, band_overlap,
                       berry_connection, central_difference,
-                      crystal_momentum_matrix, link_overlaps, position_matrix,
-                      position_momentum_commutator, position_phase_sum,
-                      reduced_position_matrix)
+                      crystal_momentum_matrix, link_overlaps, loop_phases,
+                      position_matrix, position_momentum_commutator,
+                      position_phase_sum, reduced_position_matrix)
 from .gauge import (CurvatureCheck, GaugeField, InvarianceReport,
                     apply_gauge_to_field, berry_phase,
                     curvature_substitution_check, diagonal_loop,
@@ -38,7 +38,7 @@ from .divergence import (SampledCellFunction, TranslationAudit,
                          truncated_position_expectation)
 from .transport import (ChernResult, DriveSpec, OccupationSpec, PumpResult,
                         SpectrumResult, chern_number, hopping_rate,
-                        lorentzian, pumped_charge, shift_current_spectrum,
+                        pumped_charge, shift_current_spectrum,
                         shift_vector, shift_vector_field)
 
 __version__ = "0.1.0"

@@ -23,7 +23,8 @@ from . import divergence, gauge, io, presets, transport
 from .errors import ConfigError, NumericalGuardError
 from .model import (BlochField, LatticeSpec, TwoBandAngles, build_kgrid,
                     eigenfield_from_stack, two_band_field)
-from .rmatrix import berry_connection, position_matrix, reduced_position_matrix
+from .rmatrix import (ZERO_OVERLAP_TOL, berry_connection, position_matrix,
+                      reduced_position_matrix)
 
 _EXPR_NAMES = {
     "pi": np.pi, "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
@@ -85,12 +86,14 @@ def _eval_expr(code, **variables):
 
 def _library_rule(path: str, rule: Callable, *args, **kwargs):
     """``rule(*args, **kwargs)``: a library constructor or check applied to
-    config values, whose ValueError or TypeError becomes a ConfigError
-    naming ``path``."""
+    config values, whose ValueError, TypeError or OverflowError becomes a
+    ConfigError naming ``path``."""
     try:
         return rule(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{path} overflows a float: {exc}") from exc
 
 
 def _real_angle(code, key: str, k: np.ndarray, a: float) -> np.ndarray:
@@ -122,7 +125,7 @@ def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
             return None if code is None else (lambda k: _real_angle(code, key, k, a))
 
         angles = TwoBandAngles(*map(angle, ("theta", "phi", "dtheta", "dphi")))
-        return lambda: _library_rule("model.angles", two_band_field, angles, grid, name="angles")
+        return lambda: _library_rule("model.angles", two_band_field, angles, grid)
     if "hamiltonian" in model:
         table, nb = model["hamiltonian"], spec.n_bands
         if (not isinstance(table, list) or len(table) != nb
@@ -138,8 +141,7 @@ def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
                     hk[:, i, j] = _eval_expr(code, k=grid.points, a=a)
             return hk
 
-        return lambda: _library_rule("model.hamiltonian", eigenfield_from_stack, stack(), grid,
-                                     name="hamiltonian")
+        return lambda: _library_rule("model.hamiltonian", eigenfield_from_stack, stack(), grid)
     preset = presets.PRESETS[model["preset"]]
     return lambda: _library_rule("model.params", preset.builder, spec, **model.get("params", {}))
 
@@ -170,7 +172,20 @@ def _integer(value, path: str, low: int = 1, high=None) -> int:
 def _number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path} must be a number")
-    return float(value)
+    return _library_rule(path, float, value)
+
+
+def _check_finite(value, path: str):
+    """Reject a non-finite number (JSON's ``NaN``, ``Infinity``, ``1e400``)
+    anywhere in the config, naming its path, e.g. ``task.params.frequencies[1]``."""
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, not {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
 
 
 def _task_params(params: dict, table: dict, spec: LatticeSpec) -> dict:
@@ -209,6 +224,7 @@ def load_config(path: Path) -> Context:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    _check_finite(cfg, "")
     _check_keys(cfg, "config", {"lattice": True, "model": True, "task": True,
                                 "output": False, "seed": False})
     lat = cfg["lattice"]
@@ -288,7 +304,7 @@ def _task_berry_phase(ctx: Context):
     bands = [ctx.params["band"]] if bands is None else bands
     return ({"berry_phase.csv": {"band": bands,
                                  "theta": [gauge.berry_phase(field, b) for b in bands]}},
-            {"zero_overlap": 1e-12})
+            {"zero_overlap": ZERO_OVERLAP_TOL})
 
 
 def _task_gauge_audit(ctx: Context):
@@ -338,22 +354,25 @@ def _task_pump(ctx: Context):
                           "Q_cumulative": pump.cumulative_charge},
              "oracle.csv": {"preset": ["qwz-pump"], "band": [band], "chern": [oracle.value],
                             "residue": [oracle.residue]}},
-            {"chern_residue": 0.05})
+            {"chern_residue": transport.CHERN_RESIDUE_LIMIT})
 
 
 def _task_divergence(ctx: Context):
     params, a = ctx.params, ctx.spec.lattice_constant
     cell = divergence.SampledCellFunction.from_callable(
         lambda r: np.sin(2.0 * np.pi * r / a) ** 2, a, params["samples"]).normalized()
-    study = divergence.truncated_position_expectation(cell, 0.0, params["windows"],
+    study = divergence.truncated_position_expectation(cell, params["windows"],
                                                       params["centering"])
-    audit = divergence.translation_audit(cell, 0.0, params["window"], params["centering"])
+    min_r2 = 0.999
+    if not study.r_squared >= min_r2:
+        raise NumericalGuardError(f"truncation fit R^2 {study.r_squared:.6f} is below {min_r2:g}")
+    audit = divergence.translation_audit(cell, params["window"], params["centering"])
     print(f"truncation slope {study.slope:.6f} (R^2 {study.r_squared:.6f}); "
           f"translation shift {audit.measured_shift:+.6f}")
     return ({"truncation.csv": {"W": study.windows, "value": study.values},
              "translation.csv": {"before": [audit.before], "after": [audit.after],
                                  "predicted_shift": [audit.predicted_shift]}},
-            {"fit_r2": 0.999})
+            {"fit_r2": min_r2})
 
 
 def _task_incompleteness(ctx: Context):

@@ -75,7 +75,10 @@ class SampledCellFunction:
                                    lattice_constant=self.lattice_constant)
 
     def cell_mean_position(self) -> float:
-        """Density-weighted mean of (r - a/2) over the cell."""
+        """Density-weighted mean of (r - a/2) over the normalized cell."""
+        norm = self.norm_squared()
+        if abs(norm - 1.0) > 1e-8:
+            raise ValueError(f"cell function not normalized: |psi|^2 integrates to {norm:.6f}")
         a = self.lattice_constant
         return float(np.real(self.integrate(self.density() * (self.positions - a / 2.0))))
 
@@ -102,12 +105,10 @@ class TruncationStudy:
     windows: np.ndarray
     values: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
 
 
-def truncated_position_expectation(cell_fn: SampledCellFunction, k: float,
-                                   windows: Sequence[int],
+def truncated_position_expectation(cell_fn: SampledCellFunction, windows: Sequence[int],
                                    centering: str = FROM_ORIGIN) -> TruncationStudy:
     """Truncated diagonal <r> of a Bloch-extended cell function.
 
@@ -118,9 +119,6 @@ def truncated_position_expectation(cell_fn: SampledCellFunction, k: float,
     the divergence signature of the untruncated matrix element.
     """
     windows = check_windows(windows)
-    norm = cell_fn.norm_squared()
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"cell function not normalized: |psi|^2 integrates to {norm:.6f}")
     cell_mean = cell_fn.cell_mean_position()
     a = cell_fn.lattice_constant
     values = np.array([cell_mean + np.mean(_window_offsets(w, a, centering)) for w in windows])
@@ -130,9 +128,10 @@ def truncated_position_expectation(cell_fn: SampledCellFunction, k: float,
     pred = slope * x + intercept
     ss_res = float(np.sum((values - pred) ** 2))
     ss_tot = float(np.sum((values - np.mean(values)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return TruncationStudy(windows=windows, values=values, slope=float(slope),
-                           intercept=float(intercept), r_squared=r_squared)
+    # a spread at round-off of the widest window is a flat (centered) run
+    flat = np.ptp(values) <= 1e-12 * a * windows[-1]
+    r_squared = 1.0 if flat else 1.0 - ss_res / ss_tot
+    return TruncationStudy(windows=windows, values=values, slope=float(slope), r_squared=r_squared)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class TranslationAudit:
         return self.after - self.before
 
 
-def translation_audit(cell_fn: SampledCellFunction, k: float, window: int,
+def translation_audit(cell_fn: SampledCellFunction, window: int,
                       centering: str = FROM_ORIGIN) -> TranslationAudit:
     """Truncated <r> before and after a one-cell translation.
 
@@ -157,9 +156,6 @@ def translation_audit(cell_fn: SampledCellFunction, k: float, window: int,
     silently divides infinity by itself; at finite truncation the
     boundary-cell exchange is always there and is always -a.
     """
-    norm = cell_fn.norm_squared()
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"cell function not normalized: |psi|^2 integrates to {norm:.6f}")
     a = cell_fn.lattice_constant
     cell_mean = cell_fn.cell_mean_position()
     offs = _window_offsets(window, a, centering)

@@ -44,4 +44,5 @@ class BranchTrackingError(NumericalGuardError):
 
 
 class UnderResolvedGrid(NumericalGuardError):
-    """Plaquette invariant rounding residue too large; refine the grid."""
+    """A closed loop of fewer than 3 points, or a plaquette invariant
+    rounding residue too large; refine the grid."""

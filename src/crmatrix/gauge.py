@@ -24,15 +24,10 @@ products and summation order as the whole-field functions: the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .errors import ZeroOverlap
 from .model import BlochField, KGrid, stack_unitarity_defect
-from .rmatrix import _values, berry_connection, central_difference, link_overlaps
-
-ZERO_OVERLAP_TOL = 1e-12
+from .rmatrix import _values, berry_connection, central_difference, loop_phases
 
 
 @dataclass(frozen=True)
@@ -49,8 +44,6 @@ class GaugeField:
     unitaries: np.ndarray
     generator: np.ndarray
     generator_kderiv: np.ndarray
-    modes: int
-    seed: Optional[int]
     diagonal: bool
 
     @property
@@ -125,7 +118,7 @@ def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
         unitaries = _exp_i(gen)
     return GaugeField(grid=grid, unitaries=unitaries, generator=gen,
                       generator_kderiv=_fourier_series(*coeffs, grid, kderiv=True),
-                      modes=modes, seed=seed, diagonal=diagonal)
+                      diagonal=diagonal)
 
 
 def similarity_transform(matrix_field: np.ndarray, gauge: GaugeField) -> np.ndarray:
@@ -166,33 +159,13 @@ def apply_gauge_to_field(field: BlochField, gauge: GaugeField) -> BlochField:
         raise ValueError("gauge field shape does not match the Bloch field")
     coeffs = np.einsum("plm,pnm->pln", field.coeffs, gauge.unitaries.conj())
     energies = field.energies if gauge.diagonal else None
-    return BlochField(grid=field.grid, coeffs=coeffs, energies=energies,
-                      name=field.name + "+gauge")
+    return BlochField(grid=field.grid, coeffs=coeffs, energies=energies)
 
 
 def berry_phase(field: BlochField, band: int) -> float:
-    """Discrete Berry phase of one band in (-pi, pi].
-
-    Minus the imaginary log of the wraparound product of consecutive
-    same-band overlaps; the branch is taken once, on the full product.
-    Raises :class:`ZeroOverlap` when any consecutive overlap is
-    numerically zero (orthogonal neighbours make the product meaningless).
-    """
-    return _loop_phase(field.coeffs[:, :, band])
-
-
-def _loop_phase(cols: np.ndarray) -> float:
-    """:func:`berry_phase` of one band's (N, orbitals) columns."""
-    n_k = len(cols)
-    if n_k < 3:
-        raise ValueError("need at least 3 grid points for a phase loop")
-    overlaps = link_overlaps(cols, axis=0)
-    small = np.abs(overlaps) < ZERO_OVERLAP_TOL
-    if np.any(small):
-        p = int(np.argmax(small))
-        raise ZeroOverlap(f"overlap between k indices {p} and {(p + 1) % n_k} "
-                          f"has modulus {np.abs(overlaps[p]):.2e}")
-    return float(-np.angle(np.prod(overlaps)))
+    """Discrete Berry phase of one band in (-pi, pi]: :func:`loop_phases`
+    of its columns, with the guards of :func:`link_overlaps`."""
+    return float(loop_phases(field.coeffs[:, :, band]))
 
 
 def diagonal_value(matrix_field: np.ndarray, band: int, kindex: int) -> complex:
@@ -204,17 +177,17 @@ def diagonal_value(matrix_field: np.ndarray, band: int, kindex: int) -> complex:
 
 def diagonal_loop(matrix_field: np.ndarray, band: int, grid: KGrid) -> float:
     """Closed-loop Riemann sum of the band diagonal: sum_p M_{n,n}(k_p) dk."""
-    return _loop_sum(_values(matrix_field)[:, band, band], grid)
+    return float(_loop_sum(_values(matrix_field)[:, band, band], grid))
 
 
 def trace_loop(matrix_field: np.ndarray, grid: KGrid) -> float:
     """Closed-loop Riemann sum of the trace, fixed ascending-p order."""
-    return _loop_sum(np.trace(_values(matrix_field), axis1=1, axis2=2), grid)
+    return float(_loop_sum(np.trace(_values(matrix_field), axis1=1, axis2=2), grid))
 
 
-def _loop_sum(values: np.ndarray, grid: KGrid) -> float:
-    """Real part of the Riemann sum of ``values`` over the k loop."""
-    return float(np.real(np.sum(values) * grid.spacing))
+def _loop_sum(values: np.ndarray, grid: KGrid) -> np.ndarray:
+    """Real part of the k-loop Riemann sum along axis 0, per remaining slice."""
+    return np.real(np.sum(values, axis=0) * grid.spacing)
 
 
 @dataclass(frozen=True)
@@ -263,8 +236,8 @@ def curvature_substitution_check(family, band: int) -> CurvatureCheck:
     rhs_pt = 2.0 * np.real(cross)
     max_pointwise_gap = float(np.max(np.abs(lhs_pt - rhs_pt)))
 
-    loop_lhs = np.real(np.sum(lhs_pt, axis=0) * dk)
-    loop_rhs = np.sum(rhs_pt, axis=0) * dk
+    loop_lhs = _loop_sum(lhs_pt, family.grid)
+    loop_rhs = _loop_sum(rhs_pt, family.grid)
     max_loop_mismatch = float(np.max(np.abs(loop_lhs - loop_rhs)))
 
     return CurvatureCheck(max_abs_g=max_abs_g, max_pointwise_gap=max_pointwise_gap,
@@ -331,8 +304,9 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
         du = central_difference(full.conj().transpose(0, 2, 1), dk)
         a_mm = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()) \
             + 1j * np.einsum("pmi,pim->pm", full, du)
-        after = (complex(a_bb[kindex]), _loop_sum(a_bb, grid), _loop_sum(a_mm.sum(axis=1), grid),
-                 _loop_phase(np.einsum("pl,p->pl", field.coeffs[:, :, band], u.conj())))
+        after = (complex(a_bb[kindex]), float(_loop_sum(a_bb, grid)),
+                 float(_loop_sum(a_mm.sum(axis=1), grid)),
+                 float(loop_phases(np.einsum("pl,p->pl", field.coeffs[:, :, band], u.conj()))))
         reports += [InvarianceReport(name, band, gauge_seed, b, a, tol) for name, b, a, tol
                     in zip(names, before, after, tolerances)]
     return reports

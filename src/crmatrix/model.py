@@ -128,7 +128,6 @@ class BlochField:
     coeffs: np.ndarray
     energies: Optional[np.ndarray] = None
     dcoeffs: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _lock(np.asarray(self.coeffs, dtype=complex)))
@@ -182,8 +181,8 @@ def two_band_columns(theta, phi) -> np.ndarray:
     return coeffs
 
 
-def two_band_field(angles: TwoBandAngles, grid: KGrid, energies: Optional[np.ndarray] = None,
-                   name: str = "two-band") -> BlochField:
+def two_band_field(angles: TwoBandAngles, grid: KGrid,
+                   energies: Optional[np.ndarray] = None) -> BlochField:
     """Closed-form two-band ribbon from Bloch-sphere angles; columns as in
     :func:`two_band_columns`."""
     k = grid.points
@@ -205,7 +204,7 @@ def two_band_field(angles: TwoBandAngles, grid: KGrid, energies: Optional[np.nda
         dcoeffs[:, 0, 1] = (-c * dth / 2.0 + 1j * s * dph) * eim
         dcoeffs[:, 1, 1] = -s * dth / 2.0
 
-    return BlochField(grid=grid, coeffs=coeffs, energies=energies, dcoeffs=dcoeffs, name=name)
+    return BlochField(grid=grid, coeffs=coeffs, energies=energies, dcoeffs=dcoeffs)
 
 
 def graphene_phases(kx, ky, bond: float = 1.0):
@@ -321,8 +320,7 @@ def _evaluate(h: Callable, nb: int, *axes: np.ndarray) -> np.ndarray:
     return hk
 
 
-def eigenfield_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8,
-                          name: str = "eigenfield") -> BlochField:
+def eigenfield_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8) -> BlochField:
     """Ribbon from the eigenvectors of an (N, NB, NB) stack of Hermitian
     matrices, one per grid momentum.
 
@@ -332,15 +330,15 @@ def eigenfield_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8,
     """
     nb = grid.spec.n_bands
     coeffs, energies = _eigen_decompose(hk, (grid.n, nb, nb), gap_tol)
-    return BlochField(grid=grid, coeffs=coeffs, energies=energies, name=name)
+    return BlochField(grid=grid, coeffs=coeffs, energies=energies)
 
 
 def eigenfield_from_hamiltonian(h: Callable[[float], np.ndarray], grid: KGrid,
-                                gap_tol: float = 1e-8, name: str = "eigenfield") -> BlochField:
+                                gap_tol: float = 1e-8) -> BlochField:
     """:func:`eigenfield_from_stack` of ``h(k)`` evaluated at each grid
     momentum."""
     return eigenfield_from_stack(_evaluate(h, grid.spec.n_bands, grid.points), grid,
-                                 gap_tol=gap_tol, name=name)
+                                 gap_tol=gap_tol)
 
 
 def pump_lambdas(n_lambda: int) -> np.ndarray:
@@ -361,7 +359,6 @@ class PumpFamily:
     lambdas: np.ndarray
     coeffs: np.ndarray
     energies: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _lock(np.asarray(self.coeffs, dtype=complex)))
@@ -382,8 +379,7 @@ class PumpFamily:
         return self.coeffs.shape[2]
 
 
-def pump_family_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8,
-                           name: str = "pump") -> PumpFamily:
+def pump_family_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8) -> PumpFamily:
     """Eigen-decompose an (N, n_lambda, NB, NB) stack of h(k_p, lambda_j)
     with lambda_j = j/n_lambda; same gap guard and phase fix as
     :func:`eigenfield_from_stack`, per point."""
@@ -391,19 +387,18 @@ def pump_family_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8,
     nb = grid.spec.n_bands
     coeffs, energies = _eigen_decompose(hk, (grid.n, n_lambda, nb, nb), gap_tol)
     return PumpFamily(grid=grid, lambdas=pump_lambdas(n_lambda), coeffs=coeffs,
-                      energies=energies, name=name)
+                      energies=energies)
 
 
-def pump_family_from_hamiltonian(h, grid: KGrid, n_lambda: int, gap_tol: float = 1e-8,
-                                 name: str = "pump") -> PumpFamily:
+def pump_family_from_hamiltonian(h, grid: KGrid, n_lambda: int,
+                                 gap_tol: float = 1e-8) -> PumpFamily:
     """:func:`pump_family_from_stack` of ``h(k, lambda)`` evaluated at each
     point of the torus grid."""
     hk = _evaluate(h, grid.spec.n_bands, grid.points, pump_lambdas(n_lambda))
-    return pump_family_from_stack(hk, grid, gap_tol=gap_tol, name=name)
+    return pump_family_from_stack(hk, grid, gap_tol=gap_tol)
 
 
-def pump_family_from_angles(theta, phi, grid: KGrid, n_lambda: int,
-                            name: str = "angle-pump") -> PumpFamily:
+def pump_family_from_angles(theta, phi, grid: KGrid, n_lambda: int) -> PumpFamily:
     """Two-band torus family from closed-form angle functions theta(k, lam),
     phi(k, lam) with lam in [0, 1)."""
     if grid.spec.n_bands != 2:
@@ -412,4 +407,4 @@ def pump_family_from_angles(theta, phi, grid: KGrid, n_lambda: int,
     kk, ll = np.meshgrid(grid.points, lambdas, indexing="ij")
     coeffs = two_band_columns(np.asarray(theta(kk, ll), dtype=float),
                               np.asarray(phi(kk, ll), dtype=float))
-    return PumpFamily(grid=grid, lambdas=lambdas, coeffs=coeffs, name=name)
+    return PumpFamily(grid=grid, lambdas=lambdas, coeffs=coeffs)

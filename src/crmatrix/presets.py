@@ -20,7 +20,7 @@ def identity_field(spec: LatticeSpec) -> BlochField:
     grid = build_kgrid(spec)
     coeffs = np.broadcast_to(np.eye(spec.n_bands, dtype=complex),
                              (grid.n, spec.n_bands, spec.n_bands)).copy()
-    return BlochField(grid=grid, coeffs=coeffs, name="identity")
+    return BlochField(grid=grid, coeffs=coeffs)
 
 
 def generic_two_band(spec: LatticeSpec, theta0: float = 1.1, theta_amp: float = 0.4,
@@ -44,7 +44,7 @@ def generic_two_band(spec: LatticeSpec, theta0: float = 1.1, theta_amp: float = 
     grid = build_kgrid(spec)
     eps = gap / 2.0 + bandwidth * np.cos(grid.points * a)
     energies = np.column_stack([eps, -eps])
-    return two_band_field(angles, grid, energies=energies, name="two-band-generic")
+    return two_band_field(angles, grid, energies=energies)
 
 
 def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
@@ -58,7 +58,8 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
     gives the loop a nonvanishing shift current.  Column 0 is the upper
     band; energies are attached.  A loop through a band-touching point
     (e.g. radius 0), or zero hopping and zero mass, raises
-    :class:`DegenerateRibbon`.
+    :class:`DegenerateRibbon`; a band energy beyond the float range raises
+    OverflowError (from ``mass``) or ValueError.
     """
     if not bond > 0:
         raise ValueError("bond length must be > 0")
@@ -70,14 +71,17 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
     f = honeycomb_phasor_sum(kx, ky, bond)
     if np.any(np.abs(f) < 1e-12):
         raise DegenerateRibbon("loop passes through the band-touching point")
-    energy = np.sqrt(mass ** 2 + (hopping * np.abs(f)) ** 2)
+    with np.errstate(over="ignore"):
+        energy = np.sqrt(mass ** 2 + (hopping * np.abs(f)) ** 2)
+    if not np.all(np.isfinite(energy)):
+        raise ValueError("band energy overflows a float: hopping or mass too large")
     if np.any(energy == 0):
         raise DegenerateRibbon(f"both bands have zero energy at k index "
                                f"{int(np.argmax(energy == 0))} (hopping and mass both 0)")
     theta = np.arccos(np.clip(mass / energy, -1.0, 1.0))
     coeffs = two_band_columns(theta, -np.angle(f))
     energies = np.column_stack([energy, -energy])
-    return BlochField(grid=grid, coeffs=coeffs, energies=energies, name="graphene-ribbon")
+    return BlochField(grid=grid, coeffs=coeffs, energies=energies)
 
 
 def qwz_hamiltonian(mu: float):
@@ -104,8 +108,7 @@ def qwz_pump(spec: LatticeSpec, n_lambda: int, mu: float = -1.0,
     |mu| > 2 pumps none."""
     grid = build_kgrid(spec)
     kk, ll = np.meshgrid(grid.points, pump_lambdas(n_lambda), indexing="ij")
-    return pump_family_from_stack(qwz_hamiltonian(mu)(kk, ll), grid, gap_tol=gap_tol,
-                                  name="qwz-pump")
+    return pump_family_from_stack(qwz_hamiltonian(mu)(kk, ll), grid, gap_tol=gap_tol)
 
 
 class Preset(NamedTuple):

@@ -17,17 +17,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonHermitianInput
+from .errors import NonHermitianInput, UnderResolvedGrid, ZeroOverlap
 from .model import BlochField, KGrid
 
 CRM_HERMITICITY_TOL = 1e-10  #: per unit lattice constant, the scale of every entry
+ZERO_OVERLAP_TOL = 1e-12  #: a link overlap below this modulus has no phase
 
 #: momentum rows per block of the dense assembly and of its Hermiticity
 #: check; the working set beyond the output is O(ROW_BLOCK * NB^2 * N)
 ROW_BLOCK = 64
-
-BERRY_CONNECTION = "berry_connection"
-REDUCED_POSITION = "reduced_position"
 
 
 def central_difference(values: np.ndarray, spacing: float, axis: int = 0) -> np.ndarray:
@@ -39,17 +37,14 @@ def central_difference(values: np.ndarray, spacing: float, axis: int = 0) -> np.
 
 @dataclass(frozen=True)
 class ConnectionField:
-    """k-indexed NB x NB Hermitian matrices.
-
-    ``kind`` distinguishes the Berry connection from the reduced position
-    matrix (connection plus mass-center on the diagonal).
+    """k-indexed NB x NB Hermitian matrices: the Berry connection, or the
+    reduced position matrix (connection plus mass-center on the diagonal).
     ``hermiticity_defect`` records the max deviation before symmetrisation
     on the finite-difference path (0 on the analytic path).
     """
 
     grid: KGrid
     values: np.ndarray
-    kind: str
     hermiticity_defect: float = 0.0
 
     @property
@@ -81,8 +76,7 @@ def berry_connection(field: BlochField) -> ConnectionField:
     if not analytic:
         defect = float(np.max(np.abs(a - a.conj().transpose(0, 2, 1))))
         a = (a + a.conj().transpose(0, 2, 1)) / 2.0
-    return ConnectionField(grid=field.grid, values=a, kind=BERRY_CONNECTION,
-                           hermiticity_defect=defect)
+    return ConnectionField(grid=field.grid, values=a, hermiticity_defect=defect)
 
 
 def reduced_position_matrix(field: BlochField) -> ConnectionField:
@@ -90,8 +84,7 @@ def reduced_position_matrix(field: BlochField) -> ConnectionField:
     conn = berry_connection(field)
     rbar = field.grid.spec.rbar
     vals = conn.values + rbar * np.eye(field.n_bands)[None, :, :]
-    return ConnectionField(grid=field.grid, values=vals, kind=REDUCED_POSITION,
-                           hermiticity_defect=conn.hermiticity_defect)
+    return ConnectionField(grid=field.grid, values=vals, hermiticity_defect=conn.hermiticity_defect)
 
 
 def band_overlap(field: BlochField, p: int, q: int) -> np.ndarray:
@@ -101,8 +94,29 @@ def band_overlap(field: BlochField, p: int, q: int) -> np.ndarray:
 
 def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
     """Link variables sum_l conj(c_l) c_l(next) of one band's columns
-    (orbital index last) with their periodic neighbours along ``axis``."""
-    return np.einsum("...l,...l->...", cols.conj(), np.roll(cols, -1, axis=axis))
+    (k, then lambda for a pump family, orbital index last) with their
+    periodic neighbours along ``axis``.  A loop of fewer than 3 points
+    raises :class:`UnderResolvedGrid`; a link below ``ZERO_OVERLAP_TOL``
+    raises :class:`ZeroOverlap`, naming its first index and modulus."""
+    n = cols.shape[axis]
+    if n < 3:
+        raise UnderResolvedGrid(f"a closed loop needs at least 3 grid points, got {n}")
+    links = np.einsum("...l,...l->...", cols.conj(), np.roll(cols, -1, axis=axis))
+    small = np.abs(links) < ZERO_OVERLAP_TOL
+    if small.any():
+        at = np.unravel_index(int(np.argmax(small)), small.shape)
+        where = ", ".join(f"{name} index {i}" for name, i in zip(("k", "lambda"), at))
+        raise ZeroOverlap(f"overlap at {where} with the next point along {('k', 'lambda')[axis]} "
+                          f"has modulus {np.abs(links[at]):.2e}")
+    return links
+
+
+def loop_phases(cols: np.ndarray) -> np.ndarray:
+    """Discrete Berry phase in (-pi, pi] along axis 0, per remaining slice:
+    minus the angle of the closed link product, branch taken once.  Each
+    product runs contiguously in ascending k: the bits of the slice alone."""
+    links = link_overlaps(cols, axis=0)
+    return -np.angle(np.prod(np.ascontiguousarray(np.moveaxis(links, 0, -1)), axis=-1))
 
 
 def _phase_offsets(grid: KGrid) -> np.ndarray:

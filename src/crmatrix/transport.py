@@ -9,7 +9,7 @@ and cancels in each observable; tests move the lattice origin to confirm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (BranchTrackingError, MissingEnergies, UndefinedShift,
                      UnderResolvedGrid)
 from .model import BlochField, PumpFamily
-from .rmatrix import (ConnectionField, _values, link_overlaps,
+from .rmatrix import (ConnectionField, _values, link_overlaps, loop_phases,
                       reduced_position_matrix)
 
 SHIFT_MODULUS_TOL = 1e-10
@@ -54,11 +54,13 @@ class OccupationSpec:
 @dataclass(frozen=True)
 class DriveSpec:
     """Drive frequencies, real field amplitude per frequency, and the
-    Lorentzian half-width used in place of the resonance delta."""
+    Lorentzian half-width used in place of the resonance delta, squared
+    once here, so a width whose square overflows raises OverflowError."""
 
     frequencies: np.ndarray
     amplitude: np.ndarray
     broadening: float
+    broadening_sq: float = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.frequencies, dtype=float)
@@ -69,11 +71,11 @@ class DriveSpec:
             raise ValueError("broadening must be > 0")
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "amplitude", amp)
+        object.__setattr__(self, "broadening_sq", float(self.broadening) ** 2)
 
-
-def lorentzian(x: np.ndarray, eta: float) -> np.ndarray:
-    """Unit-area Lorentzian of half-width eta."""
-    return (eta / np.pi) / (np.asarray(x) ** 2 + eta ** 2)
+    def lorentzian(self, x: np.ndarray) -> np.ndarray:
+        """Unit-area Lorentzian of half-width ``broadening`` at detuning x."""
+        return (self.broadening / np.pi) / (np.asarray(x) ** 2 + self.broadening_sq)
 
 
 def _connection(field: BlochField, connection: Optional[ConnectionField]) -> np.ndarray:
@@ -151,7 +153,7 @@ def hopping_rate(field: BlochField, occ: OccupationSpec, drive: DriveSpec,
     w_mn = energies[kindex, m] - energies[kindex, n]
     amp = float(np.interp(omega, drive.frequencies, drive.amplitude))
     r2 = float(np.abs(vals[kindex, m, n]) ** 2)
-    return float(f * r2 * lorentzian(w_mn - omega, drive.broadening) * amp * amp)
+    return float(f * r2 * drive.lorentzian(w_mn - omega) * amp * amp)
 
 
 @dataclass(frozen=True)
@@ -194,8 +196,8 @@ def shift_current_spectrum(field: BlochField, occ: OccupationSpec, drive: DriveS
             r2 = np.abs(vals[defined, m, n]) ** 2
             w_mn = energies[defined, m] - energies[defined, n]
             weight = f * shift[defined] * r2 * dk
-            total += (weight[:, None] * lorentzian(w_mn[:, None] - w[None, :],
-                                                   drive.broadening)).sum(axis=0) * amp2
+            total += (weight[:, None] * drive.lorentzian(w_mn[:, None] - w[None, :])
+                      ).sum(axis=0) * amp2
     frac = skipped / pairs if pairs else 0.0
     return SpectrumResult(frequencies=w, currents=total, skipped_fraction=float(frac))
 
@@ -206,15 +208,13 @@ def _track_branch(raw: np.ndarray) -> np.ndarray:
     Nearest-branch continuation; an increment at the pi boundary is
     ambiguous and aborts rather than guessing.
     """
-    out = np.empty_like(raw)
-    out[0] = raw[0]
-    for j in range(1, len(raw)):
-        inc = np.angle(np.exp(1j * (raw[j] - raw[j - 1])))
-        if np.abs(inc) >= BRANCH_JUMP_LIMIT - 1e-9:
-            raise BranchTrackingError(
-                f"phase jump {inc:+.3f} between parameter slices {j - 1} and {j}")
-        out[j] = out[j - 1] + inc
-    return out
+    inc = np.angle(np.exp(1j * np.diff(raw)))
+    jumps = np.abs(inc) >= BRANCH_JUMP_LIMIT - 1e-9
+    if jumps.any():
+        j = int(np.argmax(jumps)) + 1
+        raise BranchTrackingError(
+            f"phase jump {inc[j - 1]:+.3f} between parameter slices {j - 1} and {j}")
+    return np.cumsum(np.concatenate((raw[:1], inc)))
 
 
 @dataclass(frozen=True)
@@ -230,23 +230,19 @@ def pumped_charge(family: PumpFamily, band: int) -> PumpResult:
 
     P(lambda) is the k-loop of the band diagonal of the reduced position
     matrix divided by 2 pi; per slice it is evaluated through the
-    wraparound overlap product, which realises the same loop integral but
-    is immune to the per-k phase convention of eigen-decomposed families.
-    P is branch-tracked continuously through the cycle and the mass-center
-    part cancels between the endpoints: delta Q = -(P(1) - P(0)).
+    wraparound overlap product (:func:`loop_phases`), which realises the
+    same loop integral but is immune to the per-k phase convention of
+    eigen-decomposed families.  P is branch-tracked continuously through
+    the cycle and the mass-center part cancels between the endpoints:
+    delta Q = -(P(1) - P(0)).
     """
     spec = family.grid.spec
-    links = link_overlaps(family.coeffs[:, :, :, band], axis=0)
-    # one contiguous product per lambda slice: a strided reduction over
-    # axis 0 multiplies in another order and moves the last bits
-    raw = -np.angle(np.prod(np.ascontiguousarray(links.T), axis=-1))
-    closing = raw[0]
-    tracked = _track_branch(np.append(raw, closing))
+    raw = loop_phases(family.coeffs[:, :, :, band])
+    tracked = _track_branch(np.append(raw, raw[0]))
     pol = tracked / (2.0 * np.pi) + spec.rbar / spec.lattice_constant
     cumulative = -(pol - pol[0])
-    delta_q = float(cumulative[-1])
     return PumpResult(lambdas=np.append(family.lambdas, 1.0), polarization=pol,
-                      cumulative_charge=cumulative, delta_q=delta_q)
+                      cumulative_charge=cumulative, delta_q=float(cumulative[-1]))
 
 
 @dataclass(frozen=True)
@@ -260,7 +256,8 @@ def chern_number(family: PumpFamily, band: int) -> ChernResult:
 
     Sums the principal-branch phase of the oriented overlap product around
     every plaquette and divides by 2 pi.  The rounding residue must stay
-    below 0.05; larger means the grid does not resolve the band geometry.
+    below ``CHERN_RESIDUE_LIMIT``; larger means the grid does not resolve
+    the band geometry.
     """
     cols = family.coeffs[:, :, :, band]
     uk = link_overlaps(cols, axis=0)

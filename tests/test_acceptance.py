@@ -205,7 +205,7 @@ def test_criterion_08_divergence_demos():
     basis = gapped_cell_basis(1, a, 2048)
     cell = SampledCellFunction(values=basis[0].astype(complex),
                                lattice_constant=a).normalized()
-    study = truncated_position_expectation(cell, 0.0, [8, 16, 32, 64, 128, 256],
+    study = truncated_position_expectation(cell, [8, 16, 32, 64, 128, 256],
                                            FROM_ORIGIN)
 
     target = SampledCellFunction.from_callable(
@@ -240,8 +240,7 @@ def test_criterion_09_transport_suite():
     worst = 0.0
     for seed in range(20):
         g = random_gauge_field(2, f.grid, modes=3, seed=seed, scale=0.3, diagonal=True)
-        gc = ConnectionField(grid=f.grid, values=gauge_transform(conn.values, g),
-                             kind=conn.kind)
+        gc = ConnectionField(grid=f.grid, values=gauge_transform(conn.values, g))
         res = shift_current_spectrum(f, occ, drv, connection=gc)
         worst = max(worst, np.max(np.abs(res.currents - base.currents)))
     gauge_ok = worst / peak < 1e-8

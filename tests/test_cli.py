@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -289,6 +290,7 @@ def test_expression_outside_grammar_exits_2_before_output(tmp_path, capsys, expr
 
 GRAPHENE, CHAIN = {"preset": "graphene-ribbon"}, {"preset": "vacuum-gap-chain"}
 THREE_BANDS = {"lattice": {"N": 16, "a": 1.0, "n_bands": 3}}
+NAN = float("nan")  # json.dumps writes it as the token NaN
 
 
 @pytest.mark.parametrize("task, model, params, top, key", [
@@ -323,12 +325,25 @@ THREE_BANDS = {"lattice": {"N": 16, "a": 1.0, "n_bands": 3}}
     ("crm", {"angles": {"theta": "1.1", "phi": "k*a"}}, {}, THREE_BANDS, "lattice.n_bands"),
     ("pump", {"preset": "qwz-pump"}, {}, THREE_BANDS, "lattice.n_bands"),
     ("crm", GRAPHENE, {}, THREE_BANDS, "lattice.n_bands"),
+    ("crm", None, {}, {"lattice": {"N": 16, "a": NAN, "n_bands": 2}}, "lattice.a"),
+    ("shift-current", GRAPHENE, {"frequencies": [0.5, NAN, 1.0]}, {},
+     "task.params.frequencies[1]"),
+    ("connection", None, {}, {"lattice": {"N": 16, "a": 1.0, "n_bands": 2, "origin": NAN}},
+     "lattice.origin"),
+    ("gauge-audit", None, {"scale": -np.inf}, {}, "task.params.scale"),
+    ("shift-current", GRAPHENE, {"eta": 1e308}, {}, "task.params.eta"),
+    ("crm", {"preset": "graphene-ribbon", "params": {"mass": 1e308, "hopping": 1e308}}, {}, {},
+     "model.params"),
+    ("crm", {"preset": "graphene-ribbon", "params": {"hopping": 1e308}}, {}, {}, "model.params"),
+    ("crm", None, {}, {"lattice": {"N": 16, "a": 10 ** 400, "n_bands": 2}}, "lattice.a"),
 ], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
         "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list",
         "eta-zero", "centering", "windows-decreasing", "frequencies-decreasing",
         "frequency-count-type", "fillings-range", "fillings-length", "orthogonality-n_max-type",
         "scale-type", "amplitude-type", "amplitude-length", "theta-range",
-        "two-band-preset-3-bands", "angles-3-bands", "pump-3-bands", "graphene-3-bands"])
+        "two-band-preset-3-bands", "angles-3-bands", "pump-3-bands", "graphene-3-bands",
+        "a-nan", "frequency-nan", "origin-nan", "scale-infinite", "eta-square-overflows",
+        "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
     out = tmp_path / "out"
     cfg = {**base_config(task, out, model=model, **params), **top}
@@ -358,21 +373,30 @@ def test_integer_power_is_taken_in_floats(tmp_path, capsys):
     assert "model.angles.phi" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("model, task, code", [
-    ({"angles": {"theta": "1.1", "phi": "k*a + 9**9**9**9"}}, "connection", 2),
-    ({"preset": "qwz-pump", "params": {"mu": 0.0}}, "pump", 3),
-    ({"preset": "graphene-ribbon", "params": {"radius": 0}}, "connection", 3),
-    ({"preset": "graphene-ribbon", "params": {"hopping": 0}}, "crm", 3),
+TWO_POINTS = {"N": 2, "a": 1.0, "n_bands": 2}
+
+
+@pytest.mark.parametrize("model, task, lattice, code, error", [
+    ({"angles": {"theta": "1.1", "phi": "k*a + 9**9**9**9"}}, "connection", None, 2, None),
+    ({"preset": "qwz-pump", "params": {"mu": 0.0}}, "pump", None, 3, "DegenerateRibbon"),
+    ({"preset": "graphene-ribbon", "params": {"radius": 0}}, "connection", None, 3,
+     "DegenerateRibbon"),
+    ({"preset": "graphene-ribbon", "params": {"hopping": 0}}, "crm", None, 3, "DegenerateRibbon"),
+    (None, "berry-phase", TWO_POINTS, 3, "UnderResolvedGrid"),
+    (None, "gauge-audit", TWO_POINTS, 3, "UnderResolvedGrid"),
+    ({"preset": "qwz-pump"}, "pump", TWO_POINTS, 3, "UnderResolvedGrid"),
 ], ids=["overflow-exit-2", "gap-closing-pump-exit-3", "loop-on-band-touching-exit-3",
-        "zero-hopping-and-mass-exit-3"])
-def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, code):
+        "zero-hopping-and-mass-exit-3", "berry-phase-two-points-exit-3",
+        "gauge-audit-two-points-exit-3", "pump-two-points-exit-3"])
+def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, lattice, code,
+                                                error):
     """Errors found only while a task runs leave nothing behind: the output
     directory is created after the task succeeds."""
     out = tmp_path / "not-yet"
-    cfg = base_config(task, tmp_path / "unused", model=model)
+    cfg = base_config(task, tmp_path / "unused", model=model, lattice=lattice)
     assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--outdir", str(out)]) == code
-    if code == 3:
-        assert "DegenerateRibbon" in capsys.readouterr().err
+    if error is not None:
+        assert error in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -425,6 +449,29 @@ def test_incompleteness_gram_guard_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "NumericalGuardError" in err
     assert "worst Gram off-diagonal 1.000e-10 at orthogonality n_max 3, N 5" in err
+    assert not out.exists()
+
+
+def test_centered_divergence_demo_passes_fit_guard(tmp_path):
+    """Centered windows hold the truncated value flat; the fit guard must
+    not read round-off in that flat sequence as a bad fit."""
+    cfg = base_config("divergence-demo", tmp_path / "out", model=CHAIN,
+                      lattice={"N": 16, "a": 7.3, "n_bands": 1}, centering="centered")
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+
+
+def test_truncation_fit_guard_exits_3(tmp_path, capsys, monkeypatch):
+    """A truncation fit with R^2 below the recorded fit_r2 tolerance stops
+    the run with exit 3."""
+    real = cli.divergence.truncated_position_expectation
+    monkeypatch.setattr("crmatrix.divergence.truncated_position_expectation",
+                        lambda *args: dataclasses.replace(real(*args), r_squared=0.99))
+    out = tmp_path / "out"
+    cfg = base_config("divergence-demo", out, model=CHAIN)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert "NumericalGuardError" in err
+    assert "truncation fit R^2 0.990000 is below 0.999" in err
     assert not out.exists()
 
 

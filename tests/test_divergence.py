@@ -13,7 +13,7 @@ def uniform_cell(a=1.0, m=256):
 
 def test_uniform_from_origin_closed_form():
     a = 1.0
-    st = truncated_position_expectation(uniform_cell(a), 0.0, [1, 2, 4, 8, 16, 32],
+    st = truncated_position_expectation(uniform_cell(a), [1, 2, 4, 8, 16, 32],
                                         FROM_ORIGIN)
     assert np.allclose(st.values, a * (st.windows - 1) / 2.0, atol=1e-12)
     assert st.slope == pytest.approx(a / 2, abs=1e-12)
@@ -21,8 +21,19 @@ def test_uniform_from_origin_closed_form():
 
 
 def test_uniform_centered_odd_windows_vanish():
-    st = truncated_position_expectation(uniform_cell(), 0.0, [1, 3, 5, 9], CENTERED)
+    st = truncated_position_expectation(uniform_cell(), [1, 3, 5, 9], CENTERED)
     assert np.allclose(st.values, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 7.3, 4.0e5])
+def test_centered_truncation_fit_is_exact(a):
+    """Centered windows give the same value at every W up to round-off;
+    that flat sequence is fitted exactly, not scored by its round-off."""
+    cell = SampledCellFunction.from_callable(lambda r: np.sin(2 * np.pi * r / a) ** 2, a,
+                                             2048).normalized()
+    st = truncated_position_expectation(cell, [8, 16, 32, 64, 128, 256], CENTERED)
+    assert np.ptp(st.values) < 1e-12 * a * 256
+    assert st.r_squared == 1.0
 
 
 def test_gapped_basis_truncation_grows_linearly():
@@ -30,7 +41,7 @@ def test_gapped_basis_truncation_grows_linearly():
     basis = gapped_cell_basis(1, a, 2048)
     cell = SampledCellFunction(values=basis[0].astype(complex), lattice_constant=a)
     cell = cell.normalized()
-    st = truncated_position_expectation(cell, 0.0, [8, 16, 32, 64, 128, 256], FROM_ORIGIN)
+    st = truncated_position_expectation(cell, [8, 16, 32, 64, 128, 256], FROM_ORIGIN)
     assert st.r_squared > 0.999
     assert st.slope > 0.1
     assert np.all(np.isfinite(st.values))
@@ -41,11 +52,11 @@ def test_truncation_rejects_unnormalized():
     a = 1.0
     raw = SampledCellFunction.from_callable(lambda r: 2.0 * np.ones_like(r), a, 128)
     with pytest.raises(ValueError):
-        truncated_position_expectation(raw, 0.0, [2, 4])
+        truncated_position_expectation(raw, [2, 4])
 
 
 def test_translation_uniform_exact_cell_exchange():
-    au = translation_audit(uniform_cell(), 0.0, 32)
+    au = translation_audit(uniform_cell(), 32)
     assert au.measured_shift == pytest.approx(-1.0, abs=1e-12)
     assert au.predicted_shift == -1.0
 
@@ -56,12 +67,12 @@ def test_translation_localized_density():
     cell = SampledCellFunction.from_callable(
         lambda r: np.exp(-((r - a / 2) ** 2) / (2 * width ** 2)), a, 4096).normalized()
     for w in (4, 16, 64):
-        au = translation_audit(cell, 0.0, w)
+        au = translation_audit(cell, w)
         assert au.measured_shift == pytest.approx(-a, abs=1e-9)
 
 
 def test_translation_values_grow_but_shift_bounded():
-    audits = [translation_audit(uniform_cell(), 0.0, w) for w in (32, 64)]
+    audits = [translation_audit(uniform_cell(), w) for w in (32, 64)]
     assert audits[1].before > audits[0].before
     assert audits[1].after > audits[0].after
     assert audits[0].measured_shift == pytest.approx(audits[1].measured_shift, abs=1e-12)

@@ -13,7 +13,8 @@ from crmatrix import (BlochField, InvarianceReport, LatticeSpec, TwoBandAngles,
                       similarity_transform, trace_loop, two_band_field)
 from crmatrix.cli import main
 from crmatrix.gauge import gauge_inhomogeneous_term
-from crmatrix.presets import generic_two_band, identity_field
+from crmatrix.presets import generic_two_band, identity_field, qwz_pump
+from crmatrix.rmatrix import loop_phases
 
 from conftest import smooth_field
 
@@ -225,6 +226,23 @@ def test_berry_phase_zero_overlap_guard():
     f = BlochField(grid=grid_of(4), coeffs=coeffs)
     with pytest.raises(ZeroOverlap):
         berry_phase(f, 0)
+
+
+@pytest.mark.parametrize("family", ["qwz", "angles"])
+def test_loop_phases_of_a_stack_equal_berry_phase_per_slice(family):
+    """One loop-phase implementation: a (N, n_lambda, NB) stack gives the
+    bits of berry_phase on each lambda slice alone."""
+    if family == "qwz":
+        fam = qwz_pump(LatticeSpec(64, 1.0, 2), 24, mu=-1.0)
+    else:
+        fam = pump_family_from_angles(lambda k, lam: 1.0 + 0.4 * np.cos(k + 2 * np.pi * lam),
+                                      lambda k, lam: k + np.sin(2 * np.pi * lam), grid_of(37), 11)
+    for band in range(2):
+        phases = loop_phases(fam.coeffs[:, :, :, band])
+        assert phases.shape == (fam.n_lambda,)
+        for j in range(fam.n_lambda):
+            slice_phase = berry_phase(BlochField(grid=fam.grid, coeffs=fam.coeffs[:, j]), band)
+            assert phases[j].tobytes() == np.float64(slice_phase).tobytes()
 
 
 def test_berry_phase_diagonal_gauge_invariant_100_seeds():

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from crmatrix import (ConnectionField, DriveSpec, LatticeSpec, OccupationSpec,
-                      TwoBandAngles, UndefinedShift, build_kgrid, chern_number,
-                      gauge_transform, hopping_rate, lorentzian,
+from crmatrix import (BlochField, BranchTrackingError, ConnectionField, DriveSpec,
+                      LatticeSpec, OccupationSpec, TwoBandAngles, UndefinedShift,
+                      UnderResolvedGrid, ZeroOverlap, berry_phase, build_kgrid, chern_number,
+                      gauge_transform, hopping_rate,
                       pump_family_from_angles, pump_family_from_hamiltonian,
                       pumped_charge, random_gauge_field,
                       reduced_position_matrix, shift_current_spectrum,
                       shift_vector, shift_vector_field, two_band_field)
 from crmatrix.errors import MissingEnergies
 from crmatrix.presets import graphene_loop, qwz_pump
-from crmatrix.transport import SpectrumResult
+from crmatrix.transport import SpectrumResult, _track_branch
 
 from conftest import smooth_field
 
@@ -29,8 +30,7 @@ def gauged_connection(field, seed, scale=0.3, diagonal=True):
     conn = reduced_position_matrix(field)
     g = random_gauge_field(2, field.grid, modes=3, seed=seed, scale=scale,
                            diagonal=diagonal)
-    return ConnectionField(grid=field.grid, values=gauge_transform(conn.values, g),
-                           kind=conn.kind)
+    return ConnectionField(grid=field.grid, values=gauge_transform(conn.values, g))
 
 
 # -- specs ------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_drive_validation():
 
 def test_lorentzian_unit_area():
     x = np.linspace(-400, 400, 4_000_001)
-    area = np.trapezoid(lorentzian(x, 0.05), x)
+    area = np.trapezoid(DriveSpec([1.0], 1.0, 0.05).lorentzian(x), x)
     assert area == pytest.approx(1.0, abs=1e-3)
 
 
@@ -76,7 +76,7 @@ def test_shift_vector_constant_under_global_reshuffles():
         u = np.broadcast_to(np.diag(phases), (64, 2, 2))
         vals = np.einsum("pmi,pij,pnj->pmn", u, conn.values, u.conj())
         shifted, _ = shift_vector_field(f, 0, 1, connection=ConnectionField(
-            grid=grid, values=vals, kind=conn.kind))
+            grid=grid, values=vals))
         spread = max(spread, np.max(np.abs(shifted - base)))
     assert spread < 1e-8
 
@@ -304,6 +304,68 @@ def test_pump_matches_oracle_for_random_gapped_families():
 def test_chern_residue_small_on_resolved_grid():
     fam = qwz_pump(LatticeSpec(64, 1.0, 2), 64, mu=-1.0)
     assert chern_number(fam, 0).residue < 1e-10
+
+
+def theta_jump_family():
+    """theta = 0 below k index 3 and pi from there on, at every lambda: the
+    band-0 column turns orthogonal between k indices 2 and 3."""
+    grid = build_kgrid(LatticeSpec(16, 1.0, 2))
+    return pump_family_from_angles(lambda k, lam: np.where(k < grid.points[3], 0.0, np.pi),
+                                   lambda k, lam: k + 0.0 * lam, grid, 8)
+
+
+def test_pump_and_plaquette_refuse_a_zero_overlap():
+    # the closed link product of every slice is 0: its angle means nothing
+    fam = theta_jump_family()
+    for observable in (pumped_charge, chern_number):
+        with pytest.raises(ZeroOverlap, match="at k index 2, lambda index 0 with the next point"):
+            observable(fam, 0)
+    with pytest.raises(ZeroOverlap, match="at k index 2 with the next point along k"):
+        berry_phase(BlochField(grid=fam.grid, coeffs=fam.coeffs[:, 0]), 0)
+
+
+@pytest.mark.parametrize("n_cells, n_lambda", [(1, 8), (2, 8), (16, 2)])
+def test_loops_of_fewer_than_3_points_are_under_resolved(n_cells, n_lambda):
+    fam = qwz_pump(LatticeSpec(n_cells, 1.0, 2), n_lambda, mu=-1.0)
+    with pytest.raises(UnderResolvedGrid, match="at least 3 grid points"):
+        chern_number(fam, 0)
+    if n_cells < 3:
+        with pytest.raises(UnderResolvedGrid, match="at least 3 grid points"):
+            pumped_charge(fam, 0)
+
+
+def ref_track_branch(raw):
+    """The per-step continuation loop, kept as the reference."""
+    out = np.empty_like(raw)
+    out[0] = raw[0]
+    for j in range(1, len(raw)):
+        inc = np.angle(np.exp(1j * (raw[j] - raw[j - 1])))
+        if np.abs(inc) >= np.pi - 1e-9:
+            raise BranchTrackingError(
+                f"phase jump {inc:+.3f} between parameter slices {j - 1} and {j}")
+        out[j] = out[j - 1] + inc
+    return out
+
+
+def test_track_branch_equals_per_step_loop():
+    rng = np.random.default_rng(17)
+    jumps = 0
+    for trial in range(2000):
+        raw = rng.uniform(-np.pi, np.pi, int(rng.integers(1, 40)))
+        if trial % 3 == 0 and len(raw) > 1:
+            # a step of exactly pi before wrapping: ambiguous, must abort
+            j = int(rng.integers(1, len(raw)))
+            raw[j] = np.angle(np.exp(1j * (raw[j - 1] + np.pi)))
+        try:
+            want = ref_track_branch(raw)
+        except BranchTrackingError as exc:
+            jumps += 1
+            with pytest.raises(BranchTrackingError) as got:
+                _track_branch(raw)
+            assert str(got.value) == str(exc)
+            continue
+        assert _track_branch(raw).tobytes() == want.tobytes()
+    assert jumps > 500
 
 
 def test_spectrum_result_shape():
