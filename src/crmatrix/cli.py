@@ -21,7 +21,7 @@ import numpy as np
 
 from . import divergence, gauge, io, presets, transport
 from .errors import ConfigError, NumericalGuardError
-from .model import (BlochField, LatticeSpec, TwoBandAngles, build_kgrid,
+from .model import (BlochField, LatticeSpec, TwoBandAngles, _first, _where, build_kgrid,
                     eigenfield_from_stack, two_band_field)
 from .rmatrix import (ZERO_OVERLAP_TOL, berry_connection, position_matrix,
                       reduced_position_matrix)
@@ -86,13 +86,13 @@ def _eval_expr(code, **variables):
 
 def _library_rule(path: str, rule: Callable, *args, **kwargs):
     """``rule(*args, **kwargs)``: a library constructor or check applied to
-    config values, whose ValueError, TypeError or OverflowError becomes a
-    ConfigError naming ``path``."""
+    config values, whose ValueError, TypeError, OverflowError or
+    FloatingPointError becomes a ConfigError naming ``path``."""
     try:
         return rule(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         raise ConfigError(f"{path} overflows a float: {exc}") from exc
 
 
@@ -101,10 +101,9 @@ def _real_angle(code, key: str, k: np.ndarray, a: float) -> np.ndarray:
     ConfigError naming the key and the first such point."""
     values = np.broadcast_to(_eval_expr(code, k=k, a=a), np.shape(k))
     if np.iscomplexobj(values):
-        complex_at = values.imag != 0
-        if complex_at.any():
-            p = int(np.argmax(complex_at))
-            raise ConfigError(f"model.angles.{key} is complex at k index {p}: {values[p]}")
+        if np.any(values.imag != 0):
+            at = _first(values.imag != 0)
+            raise ConfigError(f"model.angles.{key} is complex at {_where(at)}: {values[at]}")
         values = values.real
     return values.astype(float)
 
@@ -308,9 +307,8 @@ def _task_berry_phase(ctx: Context):
 
 
 def _task_gauge_audit(ctx: Context):
-    params = ctx.params
-    reports = gauge.gauge_audit(ctx.field(), ctx.seed, params["seeds"], params["modes"],
-                                params["scale"], params["band"], params["kindex"])
+    reports = _library_rule("task.params.scale", gauge.gauge_audit, ctx.field(), ctx.seed,
+                            **ctx.params)
     before = np.array([r.before for r in reports], dtype=complex)
     after = np.array([r.after for r in reports], dtype=complex)
     table = {"name": [r.name for r in reports], "band": [r.band for r in reports],
@@ -332,7 +330,7 @@ def _task_shift_current(ctx: Context):
         fillings = np.zeros(field.n_bands)
         fillings[order[: field.n_bands // 2]] = 1.0
         occupation = transport.OccupationSpec(fillings)
-    # frequencies and eta passed their checks; the amplitude's length can still disagree
+    # frequencies and eta passed their checks; the amplitude's length or square can still fail
     drive = _library_rule("task.params.amplitude", transport.DriveSpec,
                           params["frequencies"], params["amplitude"], params["eta"])
     result = transport.shift_current_spectrum(field, occupation, drive)
@@ -340,7 +338,7 @@ def _task_shift_current(ctx: Context):
     skipped = np.full(len(result.frequencies), result.skipped_fraction)
     return ({"spectrum.csv": {"omega": result.frequencies, "J_s": result.currents,
                               "skipped_fraction": skipped}},
-            {"shift_modulus": transport.SHIFT_MODULUS_TOL})
+            {"shift_modulus": transport.SHIFT_MODULUS_TOL * ctx.spec.lattice_constant})
 
 
 def _task_pump(ctx: Context):

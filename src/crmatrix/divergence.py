@@ -92,11 +92,11 @@ def _window_offsets(w: int, a: float, centering: str) -> np.ndarray:
 
 
 def check_windows(windows: Sequence[int]) -> np.ndarray:
-    """Truncation windows as an integer array; they must be strictly
-    increasing and >= 1."""
+    """Truncation windows as an integer array; a line is fitted through
+    them, so there must be at least 2, strictly increasing and >= 1."""
     windows = np.asarray(list(windows), dtype=int)
-    if np.any(windows < 1) or np.any(np.diff(windows) <= 0):
-        raise ValueError("windows must be strictly increasing and >= 1")
+    if len(windows) < 2 or np.any(windows < 1) or np.any(np.diff(windows) <= 0):
+        raise ValueError("windows must be at least 2, strictly increasing and >= 1")
     return windows
 
 

@@ -18,7 +18,7 @@ class NumericalGuardError(CrmatrixError):
 
 
 class DegenerateRibbon(NumericalGuardError):
-    """Band crossing below the gap tolerance; the coefficient field is
+    """Adjacent bands closer than the gap limit; the coefficient field is
     discontinuous there and band indexing is meaningless."""
 
 

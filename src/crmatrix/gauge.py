@@ -13,12 +13,11 @@ U d(U^dag) = dH is exact, so the inhomogeneous term is taken as the
 central difference of the generator itself: the loop sum of a central
 difference telescopes to zero on a periodic grid, which keeps the U(1)
 invariances exact instead of O(dk^2).  Non-commuting gauge fields fall
-back to differencing U^dag, with the documented O(dk^2) invariance error.
+back to differencing U^dag, with the documented O(dk^2) invariance error;
+only their trace, tr(U i d_k U^dag) = d_k tr H, is exact.
 
-:func:`gauge_audit` checks these claims seed by seed over random gauges.
-Its rows read four numbers per seed, so it computes only those entries (a
-band column under U(1)^NB, the diagonals under U(NB)), by the same draws,
-products and summation order as the whole-field functions: the same bits.
+:func:`gauge_audit` checks these claims seed by seed over random gauges,
+computing only the entries its rows read.
 """
 
 from __future__ import annotations
@@ -28,6 +27,9 @@ import numpy as np
 
 from .model import BlochField, KGrid, stack_unitarity_defect
 from .rmatrix import _values, berry_connection, central_difference, loop_phases
+
+LOOP_TOL = 1e-9  #: a closed-loop functional is a phase
+DIAGONAL_VALUE_TOL = 1e-12  #: per unit lattice constant, the unit of a connection entry
 
 
 @dataclass(frozen=True)
@@ -265,31 +267,31 @@ class InvarianceReport:
         return self.delta <= self.tolerance
 
 
+@np.errstate(over="raise", invalid="raise")
 def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: float,
                 band: int = 0, kindex: int = 0) -> list:
     """Before/after rows of four functionals under ``seeds`` random gauges.
 
     Gauge seed ``seed + s`` draws a U(1)^NB field and ``seed + s + 10000`` a
-    U(NB) field, as :func:`random_gauge_field` does.  Each seed gives four
-    :class:`InvarianceReport` rows: under U(1)^NB, ``diagonal_value`` (the
-    connection's band entry at ``kindex``, tolerance 1e-12, moved by d_k xi
-    by design) and ``diagonal_loop`` (1e-9); under U(NB), ``trace_loop``
-    (10 / N^2); and the re-gauged ribbon's ``berry_phase`` (1e-9).
+    U(NB) field U = exp(i H), as :func:`random_gauge_field` does.  Each seed
+    gives four :class:`InvarianceReport` rows: ``diagonal_value`` (the
+    connection's band entry at ``kindex``, moved by d_k xi by design; limit
+    ``DIAGONAL_VALUE_TOL * a``), ``diagonal_loop`` and the re-gauged ribbon's
+    ``berry_phase`` under U(1)^NB, ``trace_loop`` under U(NB); loops within
+    ``LOOP_TOL``.
 
-    Only what the rows read is computed: the ``before`` values once; per
-    seed the band column of the U(1)^NB generator xi, of the connection
-    (u M_bb u* + d_k xi) and of the ribbon (times u*), and the U(NB)
-    unitary with only the diagonals of U M U^dag and U i d_k(U^dag).  The
-    rows equal those of :func:`gauge_transform` and
-    :func:`apply_gauge_to_field` on whole fields bit for bit: each kept
-    entry has the same draws, elementwise synthesis and products in the
-    same order, and the skipped U(1)^NB terms are products with the exact
-    zeros of a diagonal unitary.
+    Only what the rows read is computed: per seed the band column of xi,
+    of the connection (u M_bb u* + d_k xi) and of the ribbon (times u*),
+    and the traced diagonal of U M U^dag plus d_k tr H, the exact trace of
+    U i d_k(U^dag).  The rows equal, bit for bit, those of whole-field
+    :func:`apply_gauge_to_field` and :func:`gauge_transform`
+    (:func:`similarity_transform` plus d_k tr H for the trace loop).  A
+    value that overflows (a huge ``scale``) raises FloatingPointError.
     """
     grid, nb, dk = field.grid, field.n_bands, field.grid.spacing
     conn = berry_connection(field).values
     names = ("diagonal_value", "diagonal_loop", "trace_loop", "berry_phase")
-    tolerances = (1e-12, 1e-9, 10.0 / grid.n ** 2, 1e-9)
+    tolerances = (DIAGONAL_VALUE_TOL * grid.spec.lattice_constant, LOOP_TOL, LOOP_TOL, LOOP_TOL)
     before = (diagonal_value(conn, band, kindex), diagonal_loop(conn, band, grid),
               trace_loop(conn, grid), berry_phase(field, band))
     reports = []
@@ -299,13 +301,13 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
         u = np.exp(1j * xi)
         a_bb = np.einsum("p,p,p->p", u, conn[:, band, band], u.conj()) \
             + central_difference(xi, dk)
-        full = _exp_i(_fourier_series(
-            *_fourier_coefficients(nb, modes, gauge_seed + 10_000, scale, False), grid))
-        du = central_difference(full.conj().transpose(0, 2, 1), dk)
-        a_mm = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()) \
-            + 1j * np.einsum("pmi,pim->pm", full, du)
+        gen = _fourier_series(*_fourier_coefficients(nb, modes, gauge_seed + 10_000, scale,
+                                                     False), grid)
+        full = _exp_i(gen)
+        traced = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1) \
+            + central_difference(np.trace(gen, axis1=1, axis2=2), dk)
         after = (complex(a_bb[kindex]), float(_loop_sum(a_bb, grid)),
-                 float(_loop_sum(a_mm.sum(axis=1), grid)),
+                 float(_loop_sum(traced, grid)),
                  float(loop_phases(np.einsum("pl,p->pl", field.coeffs[:, :, band], u.conj()))))
         reports += [InvarianceReport(name, band, gauge_seed, b, a, tol) for name, b, a, tol
                     in zip(names, before, after, tolerances)]

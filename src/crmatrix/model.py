@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DegenerateRibbon
 
 UNITARITY_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12  #: per unit max|H| of the stack
+GAP_TOL = 1e-8  #: per unit max|E|; an eigenvector errs by eps |H| / gap (Davis & Kahan)
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -147,8 +148,8 @@ class BlochField:
     def unitarity_defect(self) -> float:
         return stack_unitarity_defect(self.coeffs)
 
-    def validate(self, tol: float = UNITARITY_TOL) -> None:
-        defect = self.unitarity_defect()
+    def validate(self) -> None:
+        defect, tol = self.unitarity_defect(), UNITARITY_TOL
         if defect > tol:
             raise ValueError(f"coefficient matrices not unitary: defect {defect:.3e} > {tol:g}")
 
@@ -273,15 +274,15 @@ def _first(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
-def _eigen_decompose(hk, shape: tuple, gap_tol: float):
+def _eigen_decompose(hk, shape: tuple):
     """The eigen-decomposition of a (..., NB, NB) Hamiltonian stack whose
     shape must be ``shape``: (phase-fixed coefficients, ascending energies).
 
-    Each step runs once over the whole stack.  A non-finite entry or a
-    non-Hermitian matrix is a ValueError and an adjacent eigenvalue gap
-    below ``gap_tol`` a :class:`DegenerateRibbon`, each naming the first
-    bad index: the ribbon is discontinuous at a degeneracy and silent
-    reordering would hide it.
+    Each step runs once over the whole stack.  A non-finite entry, or a
+    Hermiticity defect above ``HERMITICITY_TOL`` max|H|, is a ValueError and
+    an adjacent eigenvalue gap not above ``GAP_TOL`` max|E| a
+    :class:`DegenerateRibbon`, each naming the first bad index: the ribbon
+    is discontinuous at a degeneracy and silent reordering would hide it.
     """
     hk = np.asarray(hk, dtype=complex)
     if hk.shape != shape:
@@ -292,17 +293,18 @@ def _eigen_decompose(hk, shape: tuple, gap_tol: float):
         raise ValueError(f"hamiltonian at {_where(index[:-2])} has a non-finite entry "
                          f"{index[-2:]}: {hk[index]}")
     defect = np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1))
-    if np.any(defect > HERMITICITY_TOL):
-        index = _first(defect > HERMITICITY_TOL)
+    limit = HERMITICITY_TOL * np.max(np.abs(hk), initial=0.0)
+    if np.any(defect > limit):
+        index = _first(defect > limit)
         raise ValueError(f"hamiltonian at {_where(index)} not Hermitian: "
-                         f"defect {defect[index]:.3e}")
+                         f"defect {defect[index]:.3e} > {limit:.3e}")
     energies, coeffs = np.linalg.eigh(hk)
-    if shape[-1] > 1:
-        gap = np.min(np.diff(energies, axis=-1), axis=-1)
-        if np.any(gap < gap_tol):
-            index = _first(gap < gap_tol)
-            raise DegenerateRibbon(
-                f"eigenvalue gap {gap[index]:.3e} < gap_tol {gap_tol:g} at {_where(index)}")
+    gap = np.min(np.diff(energies, axis=-1), axis=-1, initial=np.inf)
+    limit = GAP_TOL * np.max(np.abs(energies), initial=0.0)
+    if not np.all(gap > limit):
+        index = _first(~(gap > limit))
+        raise DegenerateRibbon(f"eigenvalue gap {gap[index]:.3e} is not above its limit "
+                               f"{limit:.3e} at {_where(index)}")
     return _fix_phase_in_place(coeffs), energies
 
 
@@ -320,25 +322,23 @@ def _evaluate(h: Callable, nb: int, *axes: np.ndarray) -> np.ndarray:
     return hk
 
 
-def eigenfield_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8) -> BlochField:
+def eigenfield_from_stack(hk: np.ndarray, grid: KGrid) -> BlochField:
     """Ribbon from the eigenvectors of an (N, NB, NB) stack of Hermitian
     matrices, one per grid momentum.
 
     Columns are sorted by ascending eigenvalue and phase-fixed with
-    :func:`fix_phase_gauge`.  Raises :class:`DegenerateRibbon` when any
-    adjacent eigenvalue gap drops below ``gap_tol``.
+    :func:`fix_phase_gauge`.  Raises :class:`DegenerateRibbon` when an
+    adjacent eigenvalue gap is not above ``GAP_TOL`` times max|E|.
     """
     nb = grid.spec.n_bands
-    coeffs, energies = _eigen_decompose(hk, (grid.n, nb, nb), gap_tol)
+    coeffs, energies = _eigen_decompose(hk, (grid.n, nb, nb))
     return BlochField(grid=grid, coeffs=coeffs, energies=energies)
 
 
-def eigenfield_from_hamiltonian(h: Callable[[float], np.ndarray], grid: KGrid,
-                                gap_tol: float = 1e-8) -> BlochField:
+def eigenfield_from_hamiltonian(h: Callable[[float], np.ndarray], grid: KGrid) -> BlochField:
     """:func:`eigenfield_from_stack` of ``h(k)`` evaluated at each grid
     momentum."""
-    return eigenfield_from_stack(_evaluate(h, grid.spec.n_bands, grid.points), grid,
-                                 gap_tol=gap_tol)
+    return eigenfield_from_stack(_evaluate(h, grid.spec.n_bands, grid.points), grid)
 
 
 def pump_lambdas(n_lambda: int) -> np.ndarray:
@@ -379,23 +379,22 @@ class PumpFamily:
         return self.coeffs.shape[2]
 
 
-def pump_family_from_stack(hk: np.ndarray, grid: KGrid, gap_tol: float = 1e-8) -> PumpFamily:
+def pump_family_from_stack(hk: np.ndarray, grid: KGrid) -> PumpFamily:
     """Eigen-decompose an (N, n_lambda, NB, NB) stack of h(k_p, lambda_j)
     with lambda_j = j/n_lambda; same gap guard and phase fix as
     :func:`eigenfield_from_stack`, per point."""
     n_lambda = np.shape(hk)[1] if np.ndim(hk) == 4 else 0
     nb = grid.spec.n_bands
-    coeffs, energies = _eigen_decompose(hk, (grid.n, n_lambda, nb, nb), gap_tol)
+    coeffs, energies = _eigen_decompose(hk, (grid.n, n_lambda, nb, nb))
     return PumpFamily(grid=grid, lambdas=pump_lambdas(n_lambda), coeffs=coeffs,
                       energies=energies)
 
 
-def pump_family_from_hamiltonian(h, grid: KGrid, n_lambda: int,
-                                 gap_tol: float = 1e-8) -> PumpFamily:
+def pump_family_from_hamiltonian(h, grid: KGrid, n_lambda: int) -> PumpFamily:
     """:func:`pump_family_from_stack` of ``h(k, lambda)`` evaluated at each
     point of the torus grid."""
     hk = _evaluate(h, grid.spec.n_bands, grid.points, pump_lambdas(n_lambda))
-    return pump_family_from_stack(hk, grid, gap_tol=gap_tol)
+    return pump_family_from_stack(hk, grid)
 
 
 def pump_family_from_angles(theta, phi, grid: KGrid, n_lambda: int) -> PumpFamily:

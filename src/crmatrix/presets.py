@@ -101,14 +101,13 @@ def qwz_hamiltonian(mu: float):
     return h
 
 
-def qwz_pump(spec: LatticeSpec, n_lambda: int, mu: float = -1.0,
-             gap_tol: float = 1e-6) -> PumpFamily:
+def qwz_pump(spec: LatticeSpec, n_lambda: int, mu: float = -1.0) -> PumpFamily:
     """Eigen-decomposed pump family of the qwz Hamiltonian; band 0 is the
     occupied (lower) band.  |mu| < 2 pumps one unit of charge per cycle,
     |mu| > 2 pumps none."""
     grid = build_kgrid(spec)
     kk, ll = np.meshgrid(grid.points, pump_lambdas(n_lambda), indexing="ij")
-    return pump_family_from_stack(qwz_hamiltonian(mu)(kk, ll), grid, gap_tol=gap_tol)
+    return pump_family_from_stack(qwz_hamiltonian(mu)(kk, ll), grid)
 
 
 class Preset(NamedTuple):

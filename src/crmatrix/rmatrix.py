@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonHermitianInput, UnderResolvedGrid, ZeroOverlap
-from .model import BlochField, KGrid
+from .model import BlochField, KGrid, _first, _where
 
 CRM_HERMITICITY_TOL = 1e-10  #: per unit lattice constant, the scale of every entry
 ZERO_OVERLAP_TOL = 1e-12  #: a link overlap below this modulus has no phase
@@ -104,10 +104,9 @@ def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
     links = np.einsum("...l,...l->...", cols.conj(), np.roll(cols, -1, axis=axis))
     small = np.abs(links) < ZERO_OVERLAP_TOL
     if small.any():
-        at = np.unravel_index(int(np.argmax(small)), small.shape)
-        where = ", ".join(f"{name} index {i}" for name, i in zip(("k", "lambda"), at))
-        raise ZeroOverlap(f"overlap at {where} with the next point along {('k', 'lambda')[axis]} "
-                          f"has modulus {np.abs(links[at]):.2e}")
+        at = _first(small)
+        raise ZeroOverlap(f"overlap at {_where(at)} with the next point along "
+                          f"{('k', 'lambda')[axis]} has modulus {np.abs(links[at]):.2e}")
     return links
 
 

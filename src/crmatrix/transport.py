@@ -20,7 +20,7 @@ from .model import BlochField, PumpFamily
 from .rmatrix import (ConnectionField, _values, link_overlaps, loop_phases,
                       reduced_position_matrix)
 
-SHIFT_MODULUS_TOL = 1e-10
+SHIFT_MODULUS_TOL = 1e-10  #: per unit lattice constant, the unit of r_mn
 #: two-sided phase increments larger than this mean the off-diagonal phase
 #: winds too fast for the grid (or passed through zero between neighbours)
 SHIFT_INCREMENT_LIMIT = np.pi / 2
@@ -54,8 +54,8 @@ class OccupationSpec:
 @dataclass(frozen=True)
 class DriveSpec:
     """Drive frequencies, real field amplitude per frequency, and the
-    Lorentzian half-width used in place of the resonance delta, squared
-    once here, so a width whose square overflows raises OverflowError."""
+    Lorentzian half-width (squared once here) in place of the resonance
+    delta; a width or amplitude whose square overflows raises OverflowError."""
 
     frequencies: np.ndarray
     amplitude: np.ndarray
@@ -69,6 +69,8 @@ class DriveSpec:
         amp = np.broadcast_to(np.asarray(self.amplitude, dtype=float), w.shape).copy()
         if not self.broadening > 0:
             raise ValueError("broadening must be > 0")
+        if np.any(np.abs(amp) > np.sqrt(np.finfo(float).max)):
+            raise OverflowError("the square of an amplitude exceeds the float range")
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "broadening_sq", float(self.broadening) ** 2)
@@ -101,16 +103,16 @@ def shift_vector_field(field: BlochField, m: int, n: int,
     r_{m,n}: the two-sided phase increment over 2 dk.  This is the unique
     local off-diagonal term whose shift under a band-diagonal phase gauge
     cancels the diagonal shift, and the discrete increment form makes the
-    cancellation exact on the grid rather than O(dk^2).  Points where the
-    off-diagonal modulus (at p or either neighbour) is below tolerance, or
-    where the phase increment exceeds pi/2, are marked undefined.
+    cancellation exact on the grid rather than O(dk^2).  Points where |r_mn|
+    (at p or either neighbour) is below ``SHIFT_MODULUS_TOL * a``, or where
+    the phase increment exceeds pi/2, are marked undefined.
     """
     if m == n:
         raise ValueError("shift vector needs two distinct bands")
     vals = _connection(field, connection)
     dk = field.grid.spacing
     off = vals[:, m, n]
-    mod_ok = np.abs(off) >= SHIFT_MODULUS_TOL
+    mod_ok = np.abs(off) >= SHIFT_MODULUS_TOL * field.grid.spec.lattice_constant
     mod_ok &= np.roll(mod_ok, 1) & np.roll(mod_ok, -1)
     inc = _phase_increments(off)
     with np.errstate(invalid="ignore"):

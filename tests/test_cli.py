@@ -336,6 +336,10 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
      "model.params"),
     ("crm", {"preset": "graphene-ribbon", "params": {"hopping": 1e308}}, {}, {}, "model.params"),
     ("crm", None, {}, {"lattice": {"N": 16, "a": 10 ** 400, "n_bands": 2}}, "lattice.a"),
+    ("gauge-audit", None, {"scale": 1e308}, {}, "task.params.scale"),
+    ("gauge-audit", None, {"scale": 1e307, "modes": 20}, {}, "task.params.scale"),
+    ("shift-current", GRAPHENE, {"amplitude": 1e308}, {}, "task.params.amplitude"),
+    ("divergence-demo", CHAIN, {"windows": [8]}, {}, "task.params.windows"),
 ], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
         "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list",
         "eta-zero", "centering", "windows-decreasing", "frequencies-decreasing",
@@ -343,7 +347,9 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
         "scale-type", "amplitude-type", "amplitude-length", "theta-range",
         "two-band-preset-3-bands", "angles-3-bands", "pump-3-bands", "graphene-3-bands",
         "a-nan", "frequency-nan", "origin-nan", "scale-infinite", "eta-square-overflows",
-        "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float"])
+        "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float",
+        "scale-draws-overflow", "scale-generator-overflows", "amplitude-square-overflows",
+        "one-window-no-fit"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
     out = tmp_path / "out"
     cfg = {**base_config(task, out, model=model, **params), **top}
@@ -385,9 +391,14 @@ TWO_POINTS = {"N": 2, "a": 1.0, "n_bands": 2}
     (None, "berry-phase", TWO_POINTS, 3, "UnderResolvedGrid"),
     (None, "gauge-audit", TWO_POINTS, 3, "UnderResolvedGrid"),
     ({"preset": "qwz-pump"}, "pump", TWO_POINTS, 3, "UnderResolvedGrid"),
+    ({"hamiltonian": [["cos(k)", "0"], ["0", "-cos(k)"]]}, "connection",
+     {"N": 4, "a": 1.0, "n_bands": 2}, 3, "DegenerateRibbon"),
+    ({"hamiltonian": [["0", "0"], ["0", "0"]]}, "connection", None, 3, "DegenerateRibbon"),
+    ({"hamiltonian": [["3", "0"], ["0", "3"]]}, "connection", None, 3, "DegenerateRibbon"),
 ], ids=["overflow-exit-2", "gap-closing-pump-exit-3", "loop-on-band-touching-exit-3",
         "zero-hopping-and-mass-exit-3", "berry-phase-two-points-exit-3",
-        "gauge-audit-two-points-exit-3", "pump-two-points-exit-3"])
+        "gauge-audit-two-points-exit-3", "pump-two-points-exit-3", "crossing-bands-exit-3",
+        "zero-hamiltonian-exit-3", "scalar-hamiltonian-exit-3"])
 def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, lattice, code,
                                                 error):
     """Errors found only while a task runs leave nothing behind: the output
@@ -522,3 +533,46 @@ def test_readme_config_example_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--outdir", str(out)]) == 0
     assert len(read_csv(out / "spectrum.csv")) == 102
+
+
+def round_off_table(s):
+    """Hermitian in exact arithmetic; the two off-diagonal expressions round
+    differently, a defect of about 4e-12 at s = 1e5."""
+    return [[f"{s!r}", f"{s!r}*0.3*exp(1j*k)*exp(1j*k)"], [f"{s!r}*0.3*exp(-2j*k)", f"-{s!r}"]]
+
+
+def gapped_table(s):
+    """Eigenvalues -s and +s at every k: a relative gap of 2."""
+    return [[f"{s!r}*cos(k)", f"{s!r}*sin(k)"], [f"{s!r}*sin(k)", f"-{s!r}*cos(k)"]]
+
+
+@pytest.mark.parametrize("table, s", [(round_off_table, 1e5), (gapped_table, 1e-9)],
+                         ids=["hermiticity-round-off-at-1e5", "gap-at-1e-9"])
+def test_eigen_guards_do_not_depend_on_the_units_of_h(tmp_path, table, s):
+    """The Hermiticity and gap limits scale with the stack, so a model
+    scaled by s runs as it does at s = 1 and gives the same ribbon."""
+    fields = []
+    for scale in (1.0, s):
+        path = write_config(tmp_path, base_config("connection", tmp_path / repr(scale),
+                                                  model={"hamiltonian": table(scale)}))
+        assert main(["run", "--config", str(path)]) == 0
+        fields.append(load_config(path).field())
+    assert np.max(np.abs(fields[1].coeffs - fields[0].coeffs)) < 1e-14
+
+
+def test_shift_modulus_limit_scales_with_the_lattice_constant(tmp_path):
+    """|r_mn| is a length: at a = 1e-12 the graphene loop keeps every point
+    (skipped fraction 0, as at a = 1) and the manifest records 1e-10 * a."""
+    spectra = []
+    for a in (1.0, 1e-12):
+        out = tmp_path / repr(a)
+        cfg = base_config("shift-current", out, model={"preset": "graphene-ribbon",
+                                                       "params": {"mass": 0.3}},
+                          lattice={"N": 32, "a": a, "n_bands": 2})
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        rows = np.array(read_csv(out / "spectrum.csv")[1:], dtype=float)
+        assert np.all(rows[:, 2] == 0.0)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["tolerances"]["shift_modulus"] == 1e-10 * a
+        spectra.append(rows[:, 1])
+    assert np.any(spectra[1] != 0.0)

@@ -145,8 +145,7 @@ def test_eigenfield_constant_diagonal():
 def test_eigenfield_gapped_accepted():
     spec = LatticeSpec(n_cells=32, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    f = eigenfield_from_hamiltonian(lambda k: np.cos(k) * SZ + np.sin(k) * SX, grid,
-                                    gap_tol=1e-6)
+    f = eigenfield_from_hamiltonian(lambda k: np.cos(k) * SZ + np.sin(k) * SX, grid)
     assert np.allclose(f.energies[:, 0], -1.0, atol=1e-12)
     assert np.allclose(f.energies[:, 1], 1.0, atol=1e-12)
 
@@ -155,7 +154,7 @@ def test_eigenfield_degenerate_rejected():
     spec = LatticeSpec(n_cells=4, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
     with pytest.raises(DegenerateRibbon):
-        eigenfield_from_hamiltonian(lambda k: np.cos(k) * SZ, grid, gap_tol=1e-6)
+        eigenfield_from_hamiltonian(lambda k: np.cos(k) * SZ, grid)
 
 
 def test_eigenfield_sorted_ascending():

@@ -290,8 +290,10 @@ def test_pump_matches_oracle_for_random_gapped_families():
             return sum(di * pi for di, pi in zip(d, pauli))
 
         try:
-            fam = pump_family_from_hamiltonian(h, grid, 48, gap_tol=1e-3)
+            fam = pump_family_from_hamiltonian(h, grid, 48)
         except DegenerateRibbon:
+            continue
+        if np.min(np.diff(fam.energies, axis=-1)) < 1e-3:
             continue
         pump = pumped_charge(fam, 0)
         oracle = chern_number(fam, 0)
