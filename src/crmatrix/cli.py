@@ -343,8 +343,10 @@ def _task_shift_current(ctx: Context):
 
 def _task_pump(ctx: Context):
     band = ctx.params["band"]
-    family = presets.qwz_pump(ctx.spec, ctx.params["n_lambda"] or ctx.spec.n_cells,
-                              **ctx.cfg["model"].get("params", {}))
+    # mu is the preset's one parameter
+    family = _library_rule("model.params.mu", presets.qwz_pump, ctx.spec,
+                           ctx.params["n_lambda"] or ctx.spec.n_cells,
+                           **ctx.cfg["model"].get("params", {}))
     pump = transport.pumped_charge(family, band)
     oracle = transport.chern_number(family, band)
     print(f"pumped charge {pump.delta_q:+.6f}, plaquette invariant {oracle.value:+d}")

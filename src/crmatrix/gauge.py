@@ -103,6 +103,7 @@ def _exp_i(generator: np.ndarray) -> np.ndarray:
     return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
 
 
+@np.errstate(over="raise", invalid="raise")
 def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
                        scale: float = 0.3, diagonal: bool = False) -> GaugeField:
     """Seeded random gauge field with ``modes`` Fourier harmonics.
@@ -110,6 +111,8 @@ def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
     modes=0 gives a k-independent unitary.  ``diagonal=True`` restricts
     every Fourier coefficient to a real diagonal matrix, producing a
     U(1)^NB phase field.  Fixed seed means a bitwise reproducible field.
+    A value that overflows (a huge ``scale``) raises FloatingPointError,
+    as in :func:`gauge_audit`.
     """
     coeffs = _fourier_coefficients(n_bands, modes, seed, scale, diagonal)
     gen = _fourier_series(*coeffs, grid)

@@ -274,6 +274,7 @@ def _first(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
+@np.errstate(over="raise", invalid="raise")
 def _eigen_decompose(hk, shape: tuple):
     """The eigen-decomposition of a (..., NB, NB) Hamiltonian stack whose
     shape must be ``shape``: (phase-fixed coefficients, ascending energies).
@@ -283,6 +284,8 @@ def _eigen_decompose(hk, shape: tuple):
     an adjacent eigenvalue gap not above ``GAP_TOL`` max|E| a
     :class:`DegenerateRibbon`, each naming the first bad index: the ribbon
     is discontinuous at a degeneracy and silent reordering would hide it.
+    A stack whose entries or eigenvalue gaps overflow the float range in
+    these checks raises FloatingPointError.
     """
     hk = np.asarray(hk, dtype=complex)
     if hk.shape != shape:

@@ -24,7 +24,8 @@ CRM_HERMITICITY_TOL = 1e-10  #: per unit lattice constant, the scale of every en
 ZERO_OVERLAP_TOL = 1e-12  #: a link overlap below this modulus has no phase
 
 #: momentum rows per block of the dense assembly and of its Hermiticity
-#: check; the working set beyond the output is O(ROW_BLOCK * NB^2 * N)
+#: check (working set O(ROW_BLOCK * NB^2 * N) beyond the output), and
+#: frequency columns per block of the shift-current sum (O(ROW_BLOCK * N))
 ROW_BLOCK = 64
 
 
@@ -189,9 +190,10 @@ def position_matrix(field: BlochField) -> PositionMatrix:
     unitary; that collapse is checked by the test suite, not assumed here.
     The entries are written in place, ``ROW_BLOCK`` momentum rows p at a
     time: the overlaps K of those rows times the matching rows of S, plus
-    the connection on the diagonal.  Beyond the (NB*N)^2 output, memory is
-    O(ROW_BLOCK * NB^2 * N).  Raises :class:`NonHermitianInput`, naming the
-    composite index (m, p, n, q) where |E - E^dag| peaks, when the matrix
+    the connection on the diagonal, in one block buffer reused for every
+    block.  Beyond the (NB*N)^2 output, memory is O(ROW_BLOCK * NB^2 * N).
+    Raises :class:`NonHermitianInput`, naming the composite index
+    (m, p, n, q) where |E - E^dag| peaks, when the matrix
     violates Hermiticity beyond ``CRM_HERMITICITY_TOL`` times the lattice
     constant; that diagnoses a bad gauge or an under-resolved grid.  A NaN
     entry never passes: its defect is NaN, named at its own index.
@@ -203,9 +205,11 @@ def position_matrix(field: BlochField) -> PositionMatrix:
     per_offset = _phase_offsets(field.grid)
 
     entries = np.empty((nb, nk, nb, nk), dtype=complex)
+    buffer = np.empty((min(ROW_BLOCK, nk), nk, nb, nb), dtype=complex)
     for p0 in range(0, nk, ROW_BLOCK):
         p1 = min(p0 + ROW_BLOCK, nk)
-        blocks = np.einsum("plm,qln->pqmn", coeffs[p0:p1].conj(), coeffs)
+        blocks = np.einsum("plm,qln->pqmn", coeffs[p0:p1].conj(), coeffs,
+                           out=buffer[:p1 - p0])
         blocks *= _phase_rows(field.grid, per_offset, p0, p1)[:, :, None, None]
         blocks[np.arange(p1 - p0), np.arange(p0, p1)] += conn.values[p0:p1]
         entries[:, p0:p1] = blocks.transpose(2, 0, 3, 1)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (BranchTrackingError, MissingEnergies, UndefinedShift,
                      UnderResolvedGrid)
 from .model import BlochField, PumpFamily
-from .rmatrix import (ConnectionField, _values, link_overlaps, loop_phases,
+from .rmatrix import (ROW_BLOCK, ConnectionField, _values, link_overlaps, loop_phases,
                       reduced_position_matrix)
 
 SHIFT_MODULUS_TOL = 1e-10  #: per unit lattice constant, the unit of r_mn
@@ -77,7 +77,13 @@ class DriveSpec:
 
     def lorentzian(self, x: np.ndarray) -> np.ndarray:
         """Unit-area Lorentzian of half-width ``broadening`` at detuning x."""
-        return (self.broadening / np.pi) / (np.asarray(x) ** 2 + self.broadening_sq)
+        return self._lorentzian_in_place(np.array(x, dtype=float))
+
+    def _lorentzian_in_place(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`lorentzian` of the float array x, written over x."""
+        np.square(x, out=x)
+        x += self.broadening_sq
+        return np.divide(self.broadening / np.pi, x, out=x)
 
 
 def _connection(field: BlochField, connection: Optional[ConnectionField]) -> np.ndarray:
@@ -172,6 +178,14 @@ def shift_current_spectrum(field: BlochField, occ: OccupationSpec, drive: DriveS
     J(omega) = sum_{m>n} sum_p f_{m,n} R_{m,n} |r_{m,n}|^2
                L_eta(omega_{m,n} - omega) E(omega)^2 dk,
     skipping undefined-shift points; the skipped fraction is reported.
+
+    The (k, omega) Lorentzian product is formed and summed over k in one
+    buffer, a block of at most ``ROW_BLOCK`` frequency columns at a time, so
+    the working set is O(ROW_BLOCK * N) whatever the frequency count.  The
+    blocks are near-equal and none is one column wide unless the whole
+    count is 1: numpy sums a C-contiguous (N, w) block over k row by row
+    for w >= 2, the order of the unblocked sum, but pairwise for w = 1,
+    which would change the last bits.
     """
     energies = _require_energies(field)
     vals = _connection(field, connection)
@@ -179,6 +193,9 @@ def shift_current_spectrum(field: BlochField, occ: OccupationSpec, drive: DriveS
     dk = field.grid.spacing
     w = drive.frequencies
     amp2 = drive.amplitude ** 2
+    n_blocks = max(1, -(-len(w) // ROW_BLOCK))
+    edges = [len(w) * b // n_blocks for b in range(n_blocks + 1)]
+    buffer = np.empty(nk * max(np.diff(edges)))
 
     total = np.zeros_like(w)
     skipped = 0
@@ -198,8 +215,12 @@ def shift_current_spectrum(field: BlochField, occ: OccupationSpec, drive: DriveS
             r2 = np.abs(vals[defined, m, n]) ** 2
             w_mn = energies[defined, m] - energies[defined, n]
             weight = f * shift[defined] * r2 * dk
-            total += (weight[:, None] * drive.lorentzian(w_mn[:, None] - w[None, :])
-                      ).sum(axis=0) * amp2
+            for b0, b1 in zip(edges[:-1], edges[1:]):
+                x = buffer[:w_mn.size * (b1 - b0)].reshape(w_mn.size, b1 - b0)
+                np.subtract(w_mn[:, None], w[None, b0:b1], out=x)
+                drive._lorentzian_in_place(x)
+                x *= weight[:, None]
+                total[b0:b1] += x.sum(axis=0) * amp2[b0:b1]
     frac = skipped / pairs if pairs else 0.0
     return SpectrumResult(frequencies=w, currents=total, skipped_fraction=float(frac))
 

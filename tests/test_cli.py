@@ -340,6 +340,9 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
     ("gauge-audit", None, {"scale": 1e307, "modes": 20}, {}, "task.params.scale"),
     ("shift-current", GRAPHENE, {"amplitude": 1e308}, {}, "task.params.amplitude"),
     ("divergence-demo", CHAIN, {"windows": [8]}, {}, "task.params.windows"),
+    ("pump", {"preset": "qwz-pump", "params": {"mu": 1e308}}, {}, {}, "model.params.mu"),
+    ("connection", {"hamiltonian": [["1e308", "0"], ["0", "-1e308"]]}, {}, {},
+     "model.hamiltonian"),
 ], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
         "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list",
         "eta-zero", "centering", "windows-decreasing", "frequencies-decreasing",
@@ -349,7 +352,7 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
         "a-nan", "frequency-nan", "origin-nan", "scale-infinite", "eta-square-overflows",
         "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float",
         "scale-draws-overflow", "scale-generator-overflows", "amplitude-square-overflows",
-        "one-window-no-fit"])
+        "one-window-no-fit", "pump-gap-overflows", "hamiltonian-gap-overflows"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
     out = tmp_path / "out"
     cfg = {**base_config(task, out, model=model, **params), **top}

@@ -57,6 +57,14 @@ def test_diagonal_gauge_field_is_diagonal():
     assert np.max(np.abs(g.unitaries[:, 1, 0])) == 0.0
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_gauge_field_refuses_an_overflowing_scale(diagonal):
+    """A scale whose coefficients overflow raises, as in gauge_audit, instead
+    of returning non-finite unitaries."""
+    with pytest.raises(FloatingPointError):
+        random_gauge_field(2, grid_of(16), modes=3, seed=7, scale=1e308, diagonal=diagonal)
+
+
 # -- similarity rule -------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crmatrix import (BlochField, BranchTrackingError, ConnectionField, DriveSpec,
                       LatticeSpec, OccupationSpec, TwoBandAngles, UndefinedShift,
                       UnderResolvedGrid, ZeroOverlap, berry_phase, build_kgrid, chern_number,
-                      gauge_transform, hopping_rate,
+                      eigenfield_from_hamiltonian, gauge_transform, hopping_rate,
                       pump_family_from_angles, pump_family_from_hamiltonian,
                       pumped_charge, random_gauge_field,
                       reduced_position_matrix, shift_current_spectrum,
@@ -232,6 +234,73 @@ def test_spectrum_mass_center_independent():
         f = graphene_loop(LatticeSpec(128, 1.0, 2, origin=origin), mass=0.3)
         res.append(shift_current_spectrum(f, OCC, d).currents)
     assert np.max(np.abs(res[0] - res[1])) < 1e-12
+
+
+def unblocked_spectrum(field, occ, d):
+    """J(omega) from one (N_k, N_omega) Lorentzian product per band pair,
+    formed whole and summed over k in a single reduction."""
+    vals = reduced_position_matrix(field).values
+    energies, nk, dk = field.energies, field.n_k, field.grid.spacing
+    w = d.frequencies
+    total = np.zeros_like(w)
+    order = np.argsort(np.mean(energies, axis=0))
+    for hi in range(field.n_bands):
+        for lo in range(hi):
+            m, n = int(order[hi]), int(order[lo])
+            shift, defined = shift_vector_field(field, m, n)
+            f = occ.difference(m, n, nk)[defined]
+            r2 = np.abs(vals[defined, m, n]) ** 2
+            w_mn = energies[defined, m] - energies[defined, n]
+            weight = f * shift[defined] * r2 * dk
+            lorentzian = (d.broadening / np.pi) / ((w_mn[:, None] - w[None, :]) ** 2
+                                                   + d.broadening_sq)
+            total += (weight[:, None] * lorentzian).sum(axis=0) * d.amplitude ** 2
+    return total
+
+
+def two_band_hamiltonian(k):
+    return np.array([[0.9 + 0.3 * np.cos(k), 0.4 * np.exp(1j * k) + 0.2],
+                     [0.4 * np.exp(-1j * k) + 0.2, -0.9 - 0.3 * np.cos(k)]])
+
+
+def three_band_hamiltonian(k):
+    return np.array([[-2.0 + 0.2 * np.cos(k), 0.3 * np.exp(1j * k), 0.2 * np.exp(-1j * k)],
+                     [0.3 * np.exp(-1j * k), 0.1 * np.sin(k), 0.25 * np.exp(2j * k)],
+                     [0.2 * np.exp(1j * k), 0.25 * np.exp(-2j * k), 2.0 + 0.2 * np.cos(k)]])
+
+
+@pytest.fixture(scope="module")
+def hamiltonian_fields():
+    return {nb: eigenfield_from_hamiltonian(h, build_kgrid(LatticeSpec(256, 1.0, nb)))
+            for nb, h in ((2, two_band_hamiltonian), (3, three_band_hamiltonian))}
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 129])
+@pytest.mark.parametrize("nb, fillings", [(2, [1.0, 0.0]), (3, [1.0, 0.4, 0.0])])
+def test_spectrum_blocks_equal_the_unblocked_sum_bit_for_bit(hamiltonian_fields, nb,
+                                                             fillings, count):
+    """The frequency blocks keep the unblocked reduction order on both sides
+    of every block boundary; a one-column block would not."""
+    field, occ = hamiltonian_fields[nb], OccupationSpec(fillings)
+    d = DriveSpec(np.linspace(0.5, 4.5, count), np.linspace(0.8, 1.2, count), 0.05)
+    got = shift_current_spectrum(field, occ, d).currents
+    assert np.any(got != 0.0)
+    assert got.tobytes() == unblocked_spectrum(field, occ, d).tobytes()
+
+
+def test_spectrum_memory_does_not_grow_with_the_frequency_count():
+    field = massive_loop(2048)
+    conn = reduced_position_matrix(field)
+    shift_current_spectrum(massive_loop(16), OCC, drive(count=2))  # first-call allocations
+    peaks = []
+    for count in (64, 1024):
+        tracemalloc.start()
+        try:
+            shift_current_spectrum(field, OCC, drive(count=count), connection=conn)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 # -- pumping ------------------------------------------------------------------
