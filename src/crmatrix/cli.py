@@ -108,12 +108,13 @@ def _real_angle(code, key: str, k: np.ndarray, a: float) -> np.ndarray:
     return values.astype(float)
 
 
-def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
+def _model_builder(model: dict, params: dict, spec: LatticeSpec) -> Callable[..., BlochField]:
     """Compile the expressions of a model section, so a bad one is a
     ConfigError naming its key, and return the builder of its field.  The
     builder evaluates each expression once on the k array and applies the
     library's own checks to the evaluated model (theta within [0, pi], a
-    finite Hermitian table, ...), naming the model section."""
+    finite Hermitian table, ...), naming the model section, or the one
+    given preset parameter; keywords (``n_lambda``) go to the preset."""
     grid, a = build_kgrid(spec), spec.lattice_constant
     if "angles" in model:
         codes = {key: _compile_expr(expr, f"model.angles.{key}")
@@ -141,8 +142,9 @@ def _model_builder(model: dict, spec: LatticeSpec) -> Callable[[], BlochField]:
             return hk
 
         return lambda: _library_rule("model.hamiltonian", eigenfield_from_stack, stack(), grid)
-    preset = presets.PRESETS[model["preset"]]
-    return lambda: _library_rule("model.params", preset.builder, spec, **model.get("params", {}))
+    builder = presets.PRESETS[model["preset"]].builder
+    where = f"model.params.{next(iter(params))}" if len(params) == 1 else "model.params"
+    return lambda **kw: _library_rule(where, builder, spec, **kw, **params)
 
 
 # -- schema ------------------------------------------------------------------
@@ -191,6 +193,8 @@ def _task_params(params: dict, table: dict, spec: LatticeSpec) -> dict:
     """Each task.params value parsed by its check: the given ones in config
     order, then the defaults of the rest; a None default stays unset."""
     _check_keys(params, "task.params", dict.fromkeys(table, False))
+    if {"band", "bands"} <= params.keys():
+        raise ConfigError("task.params.band and task.params.bands exclude each other")
     parsed = {key: table[key][1](value, f"task.params.{key}", spec)
               for key, value in params.items()}
     for key, (default, check) in table.items():
@@ -202,13 +206,13 @@ def _task_params(params: dict, table: dict, spec: LatticeSpec) -> dict:
 class Context(NamedTuple):
     """A parsed run config, and a task handler's one argument: the config
     as read (for the manifest), its lattice, the builder of its model
-    field, its parsed task parameters and its seed.  Handlers return
-    (outputs, tolerances); outputs maps each file name, in manifest order,
-    to its table {column name: column} for :func:`io.write_csv`."""
+    field (or pump family), its parsed task parameters and its seed.
+    Handlers return (outputs, tolerances); outputs maps each file name, in
+    manifest order, to its table {column name: column} for :func:`io.write_csv`."""
 
     cfg: dict
     spec: LatticeSpec
-    field: Callable[[], BlochField]
+    field: Callable[..., BlochField]
     params: dict
     seed: int
 
@@ -248,13 +252,13 @@ def load_config(path: Path) -> Context:
     preset = presets.PRESETS.get(model.get("preset"))
     _check_keys(model.get("params", {}), "model.params",
                 dict.fromkeys(preset.params if preset else (), False))
-    for key, value in model.get("params", {}).items():
-        _number(value, f"model.params.{key}")
+    model_params = {key: _number(value, f"model.params.{key}")
+                    for key, value in model.get("params", {}).items()}
     kind = model.get("preset") or ("angles" if "angles" in model else "hamiltonian")
     n_bands = 2 if kind == "angles" else preset and preset.n_bands
     if n_bands is not None and spec.n_bands != n_bands:
         raise ConfigError(f"lattice.n_bands must be {n_bands} for model {kind!r}")
-    field = _model_builder(model, spec)
+    field = _model_builder(model, model_params, spec)
 
     task = cfg["task"]
     _check_keys(task, "task", {"name": True, "params": False})
@@ -295,7 +299,7 @@ def _task_connection(ctx: Context):
     return ({"connection.csv": _complex_table(berry_connection(field).values, "p", "m", "n"),
              "reduced_r.csv": _complex_table(reduced_position_matrix(field).values,
                                              "p", "m", "n")},
-            {"hermiticity": 1e-10})
+            {})
 
 
 def _task_berry_phase(ctx: Context):
@@ -322,18 +326,11 @@ def _task_gauge_audit(ctx: Context):
 
 
 def _task_shift_current(ctx: Context):
-    field, params = ctx.field(), ctx.params
-    occupation = params["fillings"]
-    if occupation is None:
-        # fill the energetically lower band(s) at half filling of the set
-        order = np.argsort(field.energies[0])
-        fillings = np.zeros(field.n_bands)
-        fillings[order[: field.n_bands // 2]] = 1.0
-        occupation = transport.OccupationSpec(fillings)
+    params = ctx.params
     # frequencies and eta passed their checks; the amplitude's length or square can still fail
     drive = _library_rule("task.params.amplitude", transport.DriveSpec,
                           params["frequencies"], params["amplitude"], params["eta"])
-    result = transport.shift_current_spectrum(field, occupation, drive)
+    result = transport.shift_current_spectrum(ctx.field(), params["fillings"], drive)
     print(f"skipped shift-undefined fraction: {result.skipped_fraction:.4f}")
     skipped = np.full(len(result.frequencies), result.skipped_fraction)
     return ({"spectrum.csv": {"omega": result.frequencies, "J_s": result.currents,
@@ -342,11 +339,7 @@ def _task_shift_current(ctx: Context):
 
 
 def _task_pump(ctx: Context):
-    band = ctx.params["band"]
-    # mu is the preset's one parameter
-    family = _library_rule("model.params.mu", presets.qwz_pump, ctx.spec,
-                           ctx.params["n_lambda"] or ctx.spec.n_cells,
-                           **ctx.cfg["model"].get("params", {}))
+    band, family = ctx.params["band"], ctx.field(n_lambda=ctx.params["n_lambda"])
     pump = transport.pumped_charge(family, band)
     oracle = transport.chern_number(family, band)
     print(f"pumped charge {pump.delta_q:+.6f}, plaquette invariant {oracle.value:+d}")
@@ -363,16 +356,16 @@ def _task_divergence(ctx: Context):
         lambda r: np.sin(2.0 * np.pi * r / a) ** 2, a, params["samples"]).normalized()
     study = divergence.truncated_position_expectation(cell, params["windows"],
                                                       params["centering"])
-    min_r2 = 0.999
-    if not study.r_squared >= min_r2:
-        raise NumericalGuardError(f"truncation fit R^2 {study.r_squared:.6f} is below {min_r2:g}")
+    if not study.r_squared >= divergence.MIN_FIT_R2:
+        raise NumericalGuardError(f"truncation fit R^2 {study.r_squared:.6f} is below "
+                                  f"{divergence.MIN_FIT_R2:g}")
     audit = divergence.translation_audit(cell, params["window"], params["centering"])
     print(f"truncation slope {study.slope:.6f} (R^2 {study.r_squared:.6f}); "
           f"translation shift {audit.measured_shift:+.6f}")
     return ({"truncation.csv": {"W": study.windows, "value": study.values},
              "translation.csv": {"before": [audit.before], "after": [audit.after],
                                  "predicted_shift": [audit.predicted_shift]}},
-            {"fit_r2": min_r2})
+            {"fit_r2": divergence.MIN_FIT_R2})
 
 
 def _task_incompleteness(ctx: Context):
@@ -380,7 +373,8 @@ def _task_incompleteness(ctx: Context):
     target = divergence.SampledCellFunction.from_callable(
         lambda r: np.where(r > a / 2.0, 1.0, 0.0), a, params["samples"]).normalized()
     residuals = [divergence.projection_residual(target, nm) for nm in params["n_max_list"]]
-    ortho, tol = params["orthogonality"], 1e-10
+    ortho = params["orthogonality"]
+    tol = divergence.GRAM_OFF_DIAGONAL_TOL * ortho["N"]
     _, worst = divergence.gapped_basis_gram(ortho["n_max"], ortho["N"], a, params["samples"])
     if not worst < tol:
         raise NumericalGuardError(f"worst Gram off-diagonal {worst:.3e} at orthogonality n_max "

@@ -26,6 +26,8 @@ MIN_SAMPLES = 64
 FROM_ORIGIN = "from-origin"
 CENTERED = "centered"
 CENTERINGS = (FROM_ORIGIN, CENTERED)
+MIN_FIT_R2 = 0.999  #: least R^2 of a truncation fit that counts as linear growth
+GRAM_OFF_DIAGONAL_TOL = 1e-10  #: per unit of the Gram diagonal, which is N
 
 
 @dataclass(frozen=True)

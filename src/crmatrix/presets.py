@@ -101,12 +101,13 @@ def qwz_hamiltonian(mu: float):
     return h
 
 
-def qwz_pump(spec: LatticeSpec, n_lambda: int, mu: float = -1.0) -> PumpFamily:
-    """Eigen-decomposed pump family of the qwz Hamiltonian; band 0 is the
-    occupied (lower) band.  |mu| < 2 pumps one unit of charge per cycle,
-    |mu| > 2 pumps none."""
+def qwz_pump(spec: LatticeSpec, n_lambda: Optional[int] = None, mu: float = -1.0) -> PumpFamily:
+    """Eigen-decomposed pump family of the qwz Hamiltonian, on ``n_lambda``
+    (default N) lambda points; band 0 is the occupied (lower) band.
+    |mu| < 2 pumps one unit of charge per cycle, |mu| > 2 pumps none."""
     grid = build_kgrid(spec)
-    kk, ll = np.meshgrid(grid.points, pump_lambdas(n_lambda), indexing="ij")
+    lambdas = pump_lambdas(spec.n_cells if n_lambda is None else n_lambda)
+    kk, ll = np.meshgrid(grid.points, lambdas, indexing="ij")
     return pump_family_from_stack(qwz_hamiltonian(mu)(kk, ll), grid)
 
 

@@ -171,13 +171,14 @@ class SpectrumResult:
     skipped_fraction: float
 
 
-def shift_current_spectrum(field: BlochField, occ: OccupationSpec, drive: DriveSpec,
+def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], drive: DriveSpec,
                            connection: Optional[ConnectionField] = None) -> SpectrumResult:
     """DC shift-current spectrum.
 
     J(omega) = sum_{m>n} sum_p f_{m,n} R_{m,n} |r_{m,n}|^2
                L_eta(omega_{m,n} - omega) E(omega)^2 dk,
     skipping undefined-shift points; the skipped fraction is reported.
+    ``occ=None`` fills the n_bands // 2 bands lowest in mean energy over k.
 
     The (k, omega) Lorentzian product is formed and summed over k in one
     buffer, a block of at most ``ROW_BLOCK`` frequency columns at a time, so
@@ -203,6 +204,8 @@ def shift_current_spectrum(field: BlochField, occ: OccupationSpec, drive: DriveS
     # each unordered band pair once, m the energetically higher member, so
     # the resonance omega_{m,n} is positive whatever the column order
     order = np.argsort(np.mean(energies, axis=0))
+    if occ is None:  # a band's rank in that order is below half the band count
+        occ = OccupationSpec(np.argsort(order) < nb // 2)
     for hi in range(nb):
         for lo in range(hi):
             m, n = int(order[hi]), int(order[lo])

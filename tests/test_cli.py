@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crmatrix import LatticeSpec, cli
+from crmatrix import DriveSpec, LatticeSpec, OccupationSpec, PumpFamily, cli
 from crmatrix.cli import list_presets, load_config, main
+from crmatrix.presets import generic_two_band
+from crmatrix.transport import shift_current_spectrum
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -131,6 +133,32 @@ def test_pump_task(tmp_path, capsys):
     assert abs(int(rows[1][2])) == 1
     pump_rows = read_csv(out / "pump.csv")
     assert abs(abs(float(pump_rows[-1][2])) - 1.0) < 1e-3
+
+
+def test_pump_model_is_built_by_the_context(tmp_path):
+    cfg = base_config("pump", tmp_path / "out", model={"preset": "qwz-pump"})
+    ctx = load_config(write_config(tmp_path, cfg))
+    for family, n_lambda in ((ctx.field(), 16), (ctx.field(n_lambda=8), 8)):
+        assert isinstance(family, PumpFamily)
+        assert (family.n_k, family.n_lambda) == (16, n_lambda)
+
+
+def test_default_fillings_follow_the_mean_energy_order(tmp_path):
+    """With gap -0.2 the two-band-generic bands cross: column 1 is lower at
+    k = 0, column 0 is lower on average.  The default fills column 0, the
+    lower band in the spectrum's own (mean-energy) order."""
+    out, model = tmp_path / "out", {"preset": "two-band-generic",
+                                    "params": {"gap": -0.2, "bandwidth": 0.5}}
+    cfg = base_config("shift-current", out, model=model,
+                      lattice={"N": 64, "a": 1.0, "n_bands": 2})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    rows = read_csv(out / "spectrum.csv")[1:]
+    assert float(rows[0][0]) == 0.5
+    assert float(rows[0][1]) == pytest.approx(-0.3169, abs=1e-4)
+    field = generic_two_band(LatticeSpec(64, 1.0, 2), gap=-0.2, bandwidth=0.5)
+    want = shift_current_spectrum(field, OccupationSpec([1.0, 0.0]),
+                                  DriveSpec(np.linspace(0.5, 4.0, 176), 1.0, 0.02))
+    assert [float(row[1]) for row in rows] == want.currents.tolist()
 
 
 def test_shift_current_task(tmp_path):
@@ -343,6 +371,7 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
     ("pump", {"preset": "qwz-pump", "params": {"mu": 1e308}}, {}, {}, "model.params.mu"),
     ("connection", {"hamiltonian": [["1e308", "0"], ["0", "-1e308"]]}, {}, {},
      "model.hamiltonian"),
+    ("berry-phase", None, {"band": 1, "bands": [0]}, {}, "task.params.bands"),
 ], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
         "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list",
         "eta-zero", "centering", "windows-decreasing", "frequencies-decreasing",
@@ -352,7 +381,8 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
         "a-nan", "frequency-nan", "origin-nan", "scale-infinite", "eta-square-overflows",
         "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float",
         "scale-draws-overflow", "scale-generator-overflows", "amplitude-square-overflows",
-        "one-window-no-fit", "pump-gap-overflows", "hamiltonian-gap-overflows"])
+        "one-window-no-fit", "pump-gap-overflows", "hamiltonian-gap-overflows",
+        "band-and-bands"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
     out = tmp_path / "out"
     cfg = {**base_config(task, out, model=model, **params), **top}
@@ -454,16 +484,29 @@ def test_removed_workers_flag_exits_2(tmp_path, capsys):
 
 def test_incompleteness_gram_guard_exits_3(tmp_path, capsys, monkeypatch):
     """A worst Gram off-diagonal at or above the recorded gram_off_diag
-    tolerance stops the run with exit 3, naming n_max, N and the value."""
+    tolerance, 1e-10 x N, stops the run with exit 3, naming n_max, N and
+    the value."""
     monkeypatch.setattr("crmatrix.divergence.gapped_basis_gram",
-                        lambda n_max, n, a, samples: (None, 1e-10))
+                        lambda n_max, n, a, samples: (None, 5e-10))
     out = tmp_path / "out"
     cfg = base_config("incompleteness", out, orthogonality={"n_max": 3, "N": 5})
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 3
     err = capsys.readouterr().err
     assert "NumericalGuardError" in err
-    assert "worst Gram off-diagonal 1.000e-10 at orthogonality n_max 3, N 5" in err
+    assert "worst Gram off-diagonal 5.000e-10 at orthogonality n_max 3, N 5" in err
     assert not out.exists()
+
+
+def test_incompleteness_gram_limit_scales_with_n(tmp_path):
+    """The Gram diagonal is N, so its off-diagonal round-off grows with N
+    (1.2e-10 at N = 1024); the limit grows with it and the run passes."""
+    out = tmp_path / "out"
+    cfg = base_config("incompleteness", out, n_max_list=[1], samples=64,
+                      orthogonality={"n_max": 1, "N": 1024})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    tolerance = json.loads((out / "manifest.json").read_text())["tolerances"]["gram_off_diag"]
+    assert tolerance == 1e-10 * 1024
+    assert float(read_csv(out / "orthogonality.csv")[1][2]) < tolerance
 
 
 def test_centered_divergence_demo_passes_fit_guard(tmp_path):

@@ -288,6 +288,19 @@ def test_spectrum_blocks_equal_the_unblocked_sum_bit_for_bit(hamiltonian_fields,
     assert got.tobytes() == unblocked_spectrum(field, occ, d).tobytes()
 
 
+@pytest.mark.parametrize("nb, lower_half", [(2, [0.0, 1.0]), (3, [1.0, 0.0, 0.0])],
+                         ids=["graphene", "hamiltonian-3-bands"])
+def test_default_occupation_fills_the_lower_half_bit_for_bit(hamiltonian_fields, nb,
+                                                             lower_half):
+    """occ=None fills the n_bands // 2 bands lowest in mean energy: column 1
+    of the graphene loop, band 0 of an eigen-decomposed field."""
+    field = massive_loop(256) if nb == 2 else hamiltonian_fields[3]
+    got = shift_current_spectrum(field, None, drive()).currents
+    want = shift_current_spectrum(field, OccupationSpec(lower_half), drive()).currents
+    assert np.any(want != 0.0)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_spectrum_memory_does_not_grow_with_the_frequency_count():
     field = massive_loop(2048)
     conn = reduced_position_matrix(field)
