@@ -390,15 +390,15 @@ def _task_incompleteness(ctx: Context):
 class Int(NamedTuple):
     """Check of an integer task parameter: at least ``low`` and below the
     LatticeSpec field named ``high`` (unbounded when None); ``many`` wants
-    a list of such integers."""
+    a non-empty list of such integers."""
 
     low: int
     high: Optional[str] = None
     many: bool = False
 
     def __call__(self, value, path: str, spec: LatticeSpec):
-        if self.many and not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list")
+        if self.many and not (isinstance(value, list) and value):
+            raise ConfigError(f"{path} must be a non-empty list")
         for item in value if self.many else [value]:
             _integer(item, path, self.low, self.high and getattr(spec, self.high))
         return value

@@ -10,6 +10,7 @@ outside the divergence demos.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,6 +21,12 @@ from .errors import DegenerateRibbon
 UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12  #: per unit max|H| of the stack
 GAP_TOL = 1e-8  #: per unit max|E|; an eigenvector errs by eps |H| / gap (Davis & Kahan)
+
+#: the block edge of every bounded working set: ``ROW_BLOCK**2`` matrices per
+#: block of the eigen path and of the link products, ``ROW_BLOCK`` momentum
+#: rows per block of the dense position matrix and of its Hermiticity check,
+#: and ``ROW_BLOCK`` frequency columns per block of the shift-current sum
+ROW_BLOCK = 64
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -275,40 +282,60 @@ def _first(mask: np.ndarray) -> tuple:
 
 
 @np.errstate(over="raise", invalid="raise")
-def _eigen_decompose(hk, shape: tuple):
-    """The eigen-decomposition of a (..., NB, NB) Hamiltonian stack whose
-    shape must be ``shape``: (phase-fixed coefficients, ascending energies).
+def _eigen_decompose(source, shape: tuple):
+    """The eigen-decomposition of a Hamiltonian stack of shape ``shape``,
+    (..., NB, NB): (phase-fixed coefficients, ascending energies).
 
-    Each step runs once over the whole stack.  A non-finite entry, or a
+    ``source`` is the stack itself, whose shape must be ``shape``, or a
+    block source: a function of a slice of the stack's points, flat in C
+    order, returning their (points, NB, NB) matrices.  The work runs
+    ``ROW_BLOCK**2`` matrices at a time into the preallocated outputs, so
+    beyond them it holds one Hermiticity defect and one gap per point and
+    O(ROW_BLOCK**2 * NB^2) bytes of transients.  A non-finite entry, or a
     Hermiticity defect above ``HERMITICITY_TOL`` max|H|, is a ValueError and
     an adjacent eigenvalue gap not above ``GAP_TOL`` max|E| a
     :class:`DegenerateRibbon`, each naming the first bad index: the ribbon
     is discontinuous at a degeneracy and silent reordering would hide it.
-    A stack whose entries or eigenvalue gaps overflow the float range in
-    these checks raises FloatingPointError.
+    Both limits are maxima over the whole stack.  A stack whose entries or
+    eigenvalue gaps overflow the float range in these checks raises
+    FloatingPointError.
     """
-    hk = np.asarray(hk, dtype=complex)
-    if hk.shape != shape:
-        raise ValueError(f"hamiltonian stack has shape {hk.shape}, expected {shape}")
-    finite = np.isfinite(hk)
-    if not finite.all():
-        index = _first(~finite)
-        raise ValueError(f"hamiltonian at {_where(index[:-2])} has a non-finite entry "
-                         f"{index[-2:]}: {hk[index]}")
-    defect = np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1))
-    limit = HERMITICITY_TOL * np.max(np.abs(hk), initial=0.0)
+    if not callable(source):
+        stack = np.asarray(source)
+        if stack.shape != shape:
+            raise ValueError(f"hamiltonian stack has shape {stack.shape}, expected {shape}")
+        source = stack.reshape((-1,) + shape[-2:]).__getitem__
+    points, nb = shape[:-2], shape[-1]
+    n = math.prod(points)
+    coeffs, energies = np.empty((n, nb, nb), dtype=complex), np.empty((n, nb))
+    defect, gap = np.empty(n), np.empty(n)
+    h_max = e_max = 0.0
+    for start in range(0, n, ROW_BLOCK ** 2):
+        block = slice(start, min(start + ROW_BLOCK ** 2, n))
+        hk = np.asarray(source(block), dtype=complex)
+        finite = np.isfinite(hk)
+        if not finite.all():
+            at, i, j = _first(~finite)
+            raise ValueError(f"hamiltonian at {_where(np.unravel_index(start + at, points))} "
+                             f"has a non-finite entry {(i, j)}: {hk[at, i, j]}")
+        defect[block] = np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1))
+        h_max = max(h_max, np.max(np.abs(hk), initial=0.0))
+        energies[block], vectors = np.linalg.eigh(hk)
+        coeffs[block] = _fix_phase_in_place(vectors)
+        gap[block] = np.min(np.diff(energies[block], axis=-1), axis=-1, initial=np.inf)
+        e_max = max(e_max, np.max(np.abs(energies[block]), initial=0.0))
+    defect, gap = defect.reshape(points), gap.reshape(points)
+    limit = HERMITICITY_TOL * h_max
     if np.any(defect > limit):
         index = _first(defect > limit)
         raise ValueError(f"hamiltonian at {_where(index)} not Hermitian: "
                          f"defect {defect[index]:.3e} > {limit:.3e}")
-    energies, coeffs = np.linalg.eigh(hk)
-    gap = np.min(np.diff(energies, axis=-1), axis=-1, initial=np.inf)
-    limit = GAP_TOL * np.max(np.abs(energies), initial=0.0)
+    limit = GAP_TOL * e_max
     if not np.all(gap > limit):
         index = _first(~(gap > limit))
         raise DegenerateRibbon(f"eigenvalue gap {gap[index]:.3e} is not above its limit "
                                f"{limit:.3e} at {_where(index)}")
-    return _fix_phase_in_place(coeffs), energies
+    return coeffs.reshape(shape), energies.reshape(shape[:-1])
 
 
 def _evaluate(h: Callable, nb: int, *axes: np.ndarray) -> np.ndarray:

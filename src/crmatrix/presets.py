@@ -7,9 +7,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateRibbon
-from .model import (BlochField, LatticeSpec, PumpFamily, TwoBandAngles,
-                    build_kgrid, honeycomb_phasor_sum, pump_family_from_stack,
-                    pump_lambdas, two_band_columns, two_band_field)
+from .model import (BlochField, LatticeSpec, PumpFamily, TwoBandAngles, _eigen_decompose,
+                    build_kgrid, honeycomb_phasor_sum, pump_lambdas, two_band_columns,
+                    two_band_field)
 
 #: K point of the honeycomb model in the (kx, ky) convention used here,
 #: for bond length 1: the phasor sum vanishes there.
@@ -104,11 +104,21 @@ def qwz_hamiltonian(mu: float):
 def qwz_pump(spec: LatticeSpec, n_lambda: Optional[int] = None, mu: float = -1.0) -> PumpFamily:
     """Eigen-decomposed pump family of the qwz Hamiltonian, on ``n_lambda``
     (default N) lambda points; band 0 is the occupied (lower) band.
-    |mu| < 2 pumps one unit of charge per cycle, |mu| > 2 pumps none."""
+    |mu| < 2 pumps one unit of charge per cycle, |mu| > 2 pumps none.  The
+    Hamiltonian is evaluated block by block inside the eigen path, so its
+    whole (N, n_lambda, 2, 2) stack is never held."""
+    if spec.n_bands != 2:
+        raise ValueError("the qwz pump is two-band")
     grid = build_kgrid(spec)
     lambdas = pump_lambdas(spec.n_cells if n_lambda is None else n_lambda)
-    kk, ll = np.meshgrid(grid.points, lambdas, indexing="ij")
-    return pump_family_from_stack(qwz_hamiltonian(mu)(kk, ll), grid)
+    h = qwz_hamiltonian(mu)
+
+    def block(points: slice) -> np.ndarray:
+        p, j = np.divmod(np.arange(points.start, points.stop), len(lambdas))
+        return h(grid.points[p], lambdas[j])
+
+    coeffs, energies = _eigen_decompose(block, (grid.n, len(lambdas), 2, 2))
+    return PumpFamily(grid=grid, lambdas=lambdas, coeffs=coeffs, energies=energies)
 
 
 class Preset(NamedTuple):

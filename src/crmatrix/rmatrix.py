@@ -12,21 +12,17 @@ to a delta ahead of time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonHermitianInput, UnderResolvedGrid, ZeroOverlap
-from .model import BlochField, KGrid, _first, _where
+from .model import ROW_BLOCK, BlochField, KGrid, _first, _where
 
 CRM_HERMITICITY_TOL = 1e-10  #: per unit lattice constant, the scale of every entry
 ZERO_OVERLAP_TOL = 1e-12  #: a link overlap below this modulus has no phase
-
-#: momentum rows per block of the dense assembly and of its Hermiticity
-#: check (working set O(ROW_BLOCK * NB^2 * N) beyond the output), and
-#: frequency columns per block of the shift-current sum (O(ROW_BLOCK * N))
-ROW_BLOCK = 64
 
 
 def central_difference(values: np.ndarray, spacing: float, axis: int = 0) -> np.ndarray:
@@ -98,16 +94,29 @@ def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
     (k, then lambda for a pump family, orbital index last) with their
     periodic neighbours along ``axis``.  A loop of fewer than 3 points
     raises :class:`UnderResolvedGrid`; a link below ``ZERO_OVERLAP_TOL``
-    raises :class:`ZeroOverlap`, naming its first index and modulus."""
+    raises :class:`ZeroOverlap`, naming its first index and modulus.
+
+    The links are written C-contiguous in the order of ``cols``, a block of
+    leading rows at a time holding at most ``ROW_BLOCK**2`` points (a ribbon
+    of up to that many points is one block), so no transient is the size of
+    ``cols``."""
     n = cols.shape[axis]
     if n < 3:
         raise UnderResolvedGrid(f"a closed loop needs at least 3 grid points, got {n}")
-    links = np.einsum("...l,...l->...", cols.conj(), np.roll(cols, -1, axis=axis))
-    small = np.abs(links) < ZERO_OVERLAP_TOL
-    if small.any():
-        at = _first(small)
-        raise ZeroOverlap(f"overlap at {_where(at)} with the next point along "
-                          f"{('k', 'lambda')[axis]} has modulus {np.abs(links[at]):.2e}")
+    links = np.empty(cols.shape[:-1], dtype=complex)
+    rows = max(1, ROW_BLOCK ** 2 // max(1, math.prod(links.shape[1:])))
+    for r0 in range(0, len(links), rows):
+        r1 = min(r0 + rows, len(links))
+        here = cols[r0:r1]
+        nxt = (np.concatenate((cols[r0 + 1:r1 + 1], cols[:max(0, r1 + 1 - n)])) if axis == 0
+               else np.roll(here, -1, axis=axis))
+        np.einsum("...l,...l->...", here.conj(), nxt, out=links[r0:r1])
+        small = np.abs(links[r0:r1]) < ZERO_OVERLAP_TOL
+        if small.any():
+            at = _first(small)
+            at = (r0 + at[0],) + at[1:]
+            raise ZeroOverlap(f"overlap at {_where(at)} with the next point along "
+                              f"{('k', 'lambda')[axis]} has modulus {np.abs(links[at]):.2e}")
     return links
 
 
@@ -189,9 +198,10 @@ def position_matrix(field: BlochField) -> PositionMatrix:
     lands on delta_{m,n} Rbar only because the coefficient matrices are
     unitary; that collapse is checked by the test suite, not assumed here.
     The entries are written in place, ``ROW_BLOCK`` momentum rows p at a
-    time: the overlaps K of those rows times the matching rows of S, plus
-    the connection on the diagonal, in one block buffer reused for every
-    block.  Beyond the (NB*N)^2 output, memory is O(ROW_BLOCK * NB^2 * N).
+    time: the overlaps K of those rows go straight into their output
+    layout, are multiplied by the matching rows of S, and take the
+    connection on the diagonal.  Beyond the (NB*N)^2 output, memory is
+    O(ROW_BLOCK * NB^2 * N).
     Raises :class:`NonHermitianInput`, naming the composite index
     (m, p, n, q) where |E - E^dag| peaks, when the matrix
     violates Hermiticity beyond ``CRM_HERMITICITY_TOL`` times the lattice
@@ -205,14 +215,12 @@ def position_matrix(field: BlochField) -> PositionMatrix:
     per_offset = _phase_offsets(field.grid)
 
     entries = np.empty((nb, nk, nb, nk), dtype=complex)
-    buffer = np.empty((min(ROW_BLOCK, nk), nk, nb, nb), dtype=complex)
     for p0 in range(0, nk, ROW_BLOCK):
         p1 = min(p0 + ROW_BLOCK, nk)
-        blocks = np.einsum("plm,qln->pqmn", coeffs[p0:p1].conj(), coeffs,
-                           out=buffer[:p1 - p0])
-        blocks *= _phase_rows(field.grid, per_offset, p0, p1)[:, :, None, None]
-        blocks[np.arange(p1 - p0), np.arange(p0, p1)] += conn.values[p0:p1]
-        entries[:, p0:p1] = blocks.transpose(2, 0, 3, 1)
+        rows = entries[:, p0:p1]
+        np.einsum("plm,qln->mpnq", coeffs[p0:p1].conj(), coeffs, out=rows)
+        rows *= _phase_rows(field.grid, per_offset, p0, p1)[None, :, None, :]
+        rows[:, np.arange(p1 - p0), :, np.arange(p0, p1)] += conn.values[p0:p1]
     entries = entries.reshape(nb * nk, nb * nk)
 
     defect, (row, col) = _hermiticity_defect(entries)
@@ -229,16 +237,19 @@ def position_matrix(field: BlochField) -> PositionMatrix:
 
 def _hermiticity_defect(entries: np.ndarray) -> tuple:
     """max |E - E^dag| and the first (row, column) where it peaks, taken
-    over stripes of ``ROW_BLOCK`` rows so no full-size temporary is made."""
+    over stripes of ``ROW_BLOCK`` rows so no full-size temporary is made.
+    |E - E^dag| is symmetric, so its first peak in row-major order lies on
+    or above the diagonal: each stripe is scanned from its diagonal column
+    on."""
     dim = entries.shape[0]
     peaks, spots = [], []
     for i in range(0, dim, ROW_BLOCK):
-        stripe = np.abs(entries[i:i + ROW_BLOCK] - entries[:, i:i + ROW_BLOCK].conj().T)
-        spot = int(np.argmax(stripe))
-        peaks.append(stripe.flat[spot])
-        spots.append(i * dim + spot)
+        stripe = np.abs(entries[i:i + ROW_BLOCK, i:] - entries[i:, i:i + ROW_BLOCK].conj().T)
+        row, col = divmod(int(np.argmax(stripe)), dim - i)
+        peaks.append(stripe[row, col])
+        spots.append((i + row, i + col))
     s = int(np.argmax(peaks))
-    return float(peaks[s]), divmod(spots[s], dim)
+    return float(peaks[s]), spots[s]
 
 
 def crystal_momentum_matrix(grid: KGrid, n_bands: Optional[int] = None) -> np.ndarray:

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import (BranchTrackingError, MissingEnergies, UndefinedShift,
                      UnderResolvedGrid)
-from .model import BlochField, PumpFamily
-from .rmatrix import (ROW_BLOCK, ConnectionField, _values, link_overlaps, loop_phases,
-                      reduced_position_matrix)
+from .model import ROW_BLOCK, BlochField, PumpFamily
+from .rmatrix import ConnectionField, _values, link_overlaps, loop_phases, reduced_position_matrix
 
 SHIFT_MODULUS_TOL = 1e-10  #: per unit lattice constant, the unit of r_mn
 #: two-sided phase increments larger than this mean the off-diagonal phase
@@ -288,6 +287,8 @@ def chern_number(family: PumpFamily, band: int) -> ChernResult:
     cols = family.coeffs[:, :, :, band]
     uk = link_overlaps(cols, axis=0)
     ul = link_overlaps(cols, axis=1)
+    # one whole product: numpy multiplies a temporary operand of 256 KiB or
+    # more in place, which rounds differently, so blocks would move the bits
     plaq = uk * np.roll(ul, -1, axis=0) * np.roll(uk, -1, axis=1).conj() * ul.conj()
     flux = np.angle(plaq)
     raw = float(np.sum(flux) / (2.0 * np.pi))

@@ -372,6 +372,8 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
     ("connection", {"hamiltonian": [["1e308", "0"], ["0", "-1e308"]]}, {}, {},
      "model.hamiltonian"),
     ("berry-phase", None, {"band": 1, "bands": [0]}, {}, "task.params.bands"),
+    ("incompleteness", CHAIN, {"n_max_list": []}, {}, "task.params.n_max_list"),
+    ("berry-phase", None, {"bands": []}, {}, "task.params.bands"),
 ], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
         "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list",
         "eta-zero", "centering", "windows-decreasing", "frequencies-decreasing",
@@ -382,7 +384,7 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
         "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float",
         "scale-draws-overflow", "scale-generator-overflows", "amplitude-square-overflows",
         "one-window-no-fit", "pump-gap-overflows", "hamiltonian-gap-overflows",
-        "band-and-bands"])
+        "band-and-bands", "n_max_list-empty", "bands-empty"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
     out = tmp_path / "out"
     cfg = {**base_config(task, out, model=model, **params), **top}

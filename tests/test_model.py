@@ -7,7 +7,7 @@ from crmatrix import (DegenerateRibbon, LatticeSpec, TwoBandAngles, build_kgrid,
                       pump_family_from_hamiltonian, pump_family_from_stack, two_band_field)
 from crmatrix.model import two_band_columns
 from crmatrix.presets import qwz_hamiltonian, qwz_pump
-from crmatrix.rmatrix import central_difference
+from crmatrix.rmatrix import central_difference, link_overlaps
 
 from conftest import smooth_field
 
@@ -257,6 +257,60 @@ def test_qwz_hamiltonian_on_arrays_equals_scalar_calls(mu):
         scalar = np.array([[h(kv, lv) for kv, lv in zip(krow, lrow)]
                            for krow, lrow in zip(kk, ll)])
         assert_same_bytes(stacked, scalar)
+
+
+def whole_stack_pump(hk):
+    """The eigen path with each step over the whole stack at once."""
+    energies, coeffs = np.linalg.eigh(hk)
+    return fix_phase_gauge(coeffs), energies
+
+
+def whole_stack_links(cols, axis):
+    return np.einsum("...l,...l->...", cols.conj(), np.roll(cols, -1, axis=axis))
+
+
+@pytest.mark.parametrize("n, n_lambda, mu", [
+    (40, 50, -1.0),  # 2,000 points: one block, every stack-sized array below 256 KiB
+    (97, 61, 1.4),  # 5,917 points: the second block ends mid-block
+    (128, 130, -3.0),  # 16,640 points: the links too pass 256 KiB
+])
+def test_blocked_eigen_path_and_links_equal_whole_stack_reference(n, n_lambda, mu):
+    grid = build_kgrid(LatticeSpec(n_cells=n, lattice_constant=1.0, n_bands=2))
+    hk = qwz_hamiltonian(mu)(*np.meshgrid(grid.points, np.arange(n_lambda) / n_lambda,
+                                          indexing="ij"))
+    coeffs, energies = whole_stack_pump(hk)
+    for fam in (qwz_pump(grid.spec, n_lambda, mu=mu), pump_family_from_stack(hk, grid)):
+        assert_same_bytes(fam.coeffs, coeffs)
+        assert_same_bytes(fam.energies, energies)
+    field = eigenfield_from_stack(hk.reshape(-1, 2, 2)[:n], grid)
+    assert_same_bytes(field.coeffs, coeffs.reshape(-1, 2, 2)[:n])
+    for band in range(2):
+        for axis in range(2):
+            assert_same_bytes(link_overlaps(fam.coeffs[..., band], axis),
+                              whole_stack_links(coeffs[..., band], axis))
+    ribbon = coeffs.reshape(-1, 2, 2)[..., 0]  # up to 16,640 points: several blocks of rows
+    assert_same_bytes(link_overlaps(ribbon, 0), whole_stack_links(ribbon, 0))
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, r"hamiltonian at k index 60, lambda index 10 has a non-finite entry \(0, 1\): "
+             r"\(nan\+0j\)$"),
+    (0.5, r"hamiltonian at k index 60, lambda index 10 not Hermitian: "
+          r"defect 1\.131e\+00 > 3\.000e-12$"),
+    (None, r"eigenvalue gap 0\.000e\+00 is not above its limit 3\.000e-08 "
+           r"at k index 60, lambda index 10$"),
+], ids=["non-finite", "not-hermitian", "closed-gap"])
+def test_guards_in_the_last_block_name_the_whole_stack_index(value, message):
+    grid = build_kgrid(LatticeSpec(n_cells=64, lattice_constant=1.0, n_bands=2))
+    hk = qwz_hamiltonian(-1.0)(*np.meshgrid(grid.points, np.arange(80) / 80, indexing="ij"))
+    # point 60 * 80 + 10 = 4,810 of 5,120: past the first 4,096-matrix block
+    if value is None:
+        hk[60, 10] = np.eye(2)
+    else:
+        hk[60, 10, 0, 1] = value
+    error = DegenerateRibbon if value is None else ValueError
+    with pytest.raises(error, match=message):
+        pump_family_from_stack(hk, grid)
 
 
 def random_three_band(seed):

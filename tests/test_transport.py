@@ -385,26 +385,52 @@ def test_pump_matches_oracle_for_random_gapped_families():
     assert checked == 10
 
 
+def test_pump_build_and_link_products_hold_no_stack_sized_transient():
+    """The qwz Hamiltonian is evaluated and eigen-decomposed block by block
+    and the links are filled by blocks of rows, so at 8 blocks of points
+    the build peaks below twice the family's bytes (about 3.5x when the
+    whole stack and its transients were held) and the loop phases below
+    0.6x (the links and their transposed copy)."""
+    qwz_pump(LatticeSpec(8, 1.0, 2), 8, mu=-1.0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        fam = qwz_pump(LatticeSpec(256, 1.0, 2), 128, mu=-1.0)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        pumped_charge(fam, 0)
+        pump = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    family = fam.coeffs.nbytes + fam.energies.nbytes
+    assert build <= 2.0 * family
+    assert pump <= 0.6 * family
+
+
 def test_chern_residue_small_on_resolved_grid():
     fam = qwz_pump(LatticeSpec(64, 1.0, 2), 64, mu=-1.0)
     assert chern_number(fam, 0).residue < 1e-10
 
 
-def theta_jump_family():
-    """theta = 0 below k index 3 and pi from there on, at every lambda: the
-    band-0 column turns orthogonal between k indices 2 and 3."""
-    grid = build_kgrid(LatticeSpec(16, 1.0, 2))
-    return pump_family_from_angles(lambda k, lam: np.where(k < grid.points[3], 0.0, np.pi),
-                                   lambda k, lam: k + 0.0 * lam, grid, 8)
+def theta_jump_family(n_cells=16, n_lambda=8, jump=3):
+    """theta = 0 below k index ``jump`` and pi from there on, at every
+    lambda: the band-0 column turns orthogonal between k indices jump - 1
+    and jump."""
+    grid = build_kgrid(LatticeSpec(n_cells, 1.0, 2))
+    return pump_family_from_angles(lambda k, lam: np.where(k < grid.points[jump], 0.0, np.pi),
+                                   lambda k, lam: k + 0.0 * lam, grid, n_lambda)
 
 
-def test_pump_and_plaquette_refuse_a_zero_overlap():
+# 5,000 x 3 points: the zero link lies in a later block of rows than the first
+@pytest.mark.parametrize("n_cells, n_lambda, jump", [(16, 8, 3), (5000, 3, 4500)])
+def test_pump_and_plaquette_refuse_a_zero_overlap(n_cells, n_lambda, jump):
     # the closed link product of every slice is 0: its angle means nothing
-    fam = theta_jump_family()
+    fam = theta_jump_family(n_cells, n_lambda, jump)
     for observable in (pumped_charge, chern_number):
-        with pytest.raises(ZeroOverlap, match="at k index 2, lambda index 0 with the next point"):
+        with pytest.raises(ZeroOverlap, match=f"at k index {jump - 1}, lambda index 0 with the "
+                                              f"next point"):
             observable(fam, 0)
-    with pytest.raises(ZeroOverlap, match="at k index 2 with the next point along k"):
+    with pytest.raises(ZeroOverlap, match=f"at k index {jump - 1} with the next point along k"):
         berry_phase(BlochField(grid=fam.grid, coeffs=fam.coeffs[:, 0]), 0)
 
 
