@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crmatrix import gauge, transport
 from crmatrix import (BlochField, BranchTrackingError, ConnectionField, DriveSpec,
                       LatticeSpec, OccupationSpec, TwoBandAngles, UndefinedShift,
                       UnderResolvedGrid, ZeroOverlap, berry_phase, build_kgrid, chern_number,
-                      eigenfield_from_hamiltonian, gauge_transform, hopping_rate,
+                      eigenfield_from_hamiltonian, gauge_audit, gauge_transform, hopping_rate,
+                      link_overlaps,
                       pump_family_from_angles, pump_family_from_hamiltonian,
                       pumped_charge, random_gauge_field,
                       reduced_position_matrix, shift_current_spectrum,
@@ -483,3 +485,47 @@ def test_spectrum_result_shape():
     res = shift_current_spectrum(f, OCC, drive(1.0, 2.0, 11))
     assert isinstance(res, SpectrumResult)
     assert res.frequencies.shape == res.currents.shape == (11,)
+
+
+def whole_loop_phases(cols):
+    """The loop phases with every slice transposed at once, as before the
+    product was blocked."""
+    links = link_overlaps(cols, axis=0)
+    return -np.angle(np.prod(np.ascontiguousarray(np.moveaxis(links, 0, -1)), axis=-1))
+
+
+@pytest.mark.parametrize("n_cells, n_lambda", [(64, 256), (4500, 8)])
+def test_blocked_loop_product_equals_whole_transpose(monkeypatch, n_cells, n_lambda):
+    """64 x 256 links are four blocks of 64 slices; a slice of 4,096 or
+    more links is a block of its own."""
+    fam = qwz_pump(LatticeSpec(n_cells, 1.0, 2), n_lambda, mu=-1.0)
+    blocked = [pumped_charge(fam, band) for band in range(2)]
+    field = BlochField(fam.grid, fam.coeffs[:, 0])
+    phases = [berry_phase(field, band) for band in range(2)]
+    audit = gauge_audit(field, 3, 2, 3, 0.2)
+    for module in (transport, gauge):
+        monkeypatch.setattr(module, "loop_phases", whole_loop_phases)
+    for band, result in enumerate(blocked):
+        whole = pumped_charge(fam, band)
+        for name in ("polarization", "cumulative_charge"):
+            assert getattr(result, name).tobytes() == getattr(whole, name).tobytes()
+        assert repr(result.delta_q) == repr(whole.delta_q)
+        assert repr(phases[band]) == repr(berry_phase(field, band))
+    assert audit == gauge_audit(field, 3, 2, 3, 0.2)
+
+
+def test_loop_product_holds_no_links_sized_transient():
+    """At 1024 x 256 the links are 4 MiB; transposing them whole took
+    another 4 MiB, so pumped_charge peaked at twice the links."""
+    grid = build_kgrid(LatticeSpec(1024, 1.0, 2))
+    fam = pump_family_from_angles(lambda k, lam: 1.0 + 0.3 * np.cos(2 * np.pi * lam) + 0 * k,
+                                  lambda k, lam: k + 0.0 * lam, grid, 256)
+    pumped_charge(fam, 0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pumped_charge(fam, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 1024 * 256 * np.dtype(complex).itemsize
