@@ -513,7 +513,8 @@ def run(ctx: Context, outdir_override=None, verbose: bool = False) -> int:
     io.write_manifest(outdir, task, cfg, ctx.seed,
                       grids={"N": spec.n_cells, "a": spec.lattice_constant,
                              "n_bands": spec.n_bands},
-                      tolerances=tolerances, files=files)
+                      tolerances=tolerances,
+                      files=[(name, rows, rows.sha256) for name, rows in files])
     if verbose:
         for name, rows in files:
             print(f"wrote {outdir / name} ({rows} rows)")

@@ -57,50 +57,74 @@ class GaugeField:
 
 
 def _fourier_coefficients(n_bands: int, modes: int, seed: int, scale: float,
-                          diagonal: bool):
-    """The seeded cos and sin coefficients of harmonics 0..modes, each a
-    Hermitian (NB, NB) matrix, real and diagonal with ``diagonal``."""
+                          diagonal: bool) -> np.ndarray:
+    """The seeded cos and sin coefficients of harmonics 0..modes, stacked
+    (2, modes + 1, NB, NB): each a Hermitian matrix, real and diagonal with
+    ``diagonal``.  One normal draw per seed, in the order of one draw per
+    matrix (real part, then imaginary part), so a seed gives the same
+    coefficients as drawing the matrices one at a time."""
     if modes < 0:
         raise ValueError("modes must be >= 0")
     rng = np.random.default_rng(seed)
-
-    def herm():
-        if diagonal:
-            return np.diag(rng.normal(scale=scale, size=n_bands))
-        x = rng.normal(scale=scale, size=(n_bands, n_bands)) \
-            + 1j * rng.normal(scale=scale, size=(n_bands, n_bands))
-        return (x + x.conj().T) / 2.0
-
-    return (np.array([herm() for _ in range(modes + 1)]),
-            np.array([herm() for _ in range(modes + 1)]))
+    if diagonal:
+        coeffs, m = np.zeros((2, modes + 1, n_bands, n_bands)), np.arange(n_bands)
+        coeffs[..., m, m] = rng.normal(scale=scale, size=(2, modes + 1, n_bands))
+        return coeffs
+    x = rng.normal(scale=scale, size=(2, modes + 1, 2, n_bands, n_bands))
+    x = x[:, :, 0] + 1j * x[:, :, 1]
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _fourier_series(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray, grid: KGrid,
-                    kderiv: bool = False) -> np.ndarray:
+def _mode_table(grid: KGrid, modes: int) -> tuple:
+    """cos and sin of the mode angles 2 pi ((s p) mod N) / N, each (modes, N):
+    harmonic s = 1..modes by row, grid point p by column.  The angles are
+    reduced mod 2 pi on the grid, so a series built from them is periodic
+    bit-exactly."""
+    n = grid.n
+    ang = 2.0 * np.pi * ((np.arange(1, modes + 1)[:, None] * np.arange(n)) % n) / n
+    return np.cos(ang), np.sin(ang)
+
+
+def _fourier_series(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray, table: tuple,
+                    grid: KGrid, kderiv: bool = False) -> np.ndarray:
     """The generator H(k_p) of stacked coefficients on the grid, or with
-    ``kderiv`` its analytic k-derivative.  The mode angles are reduced mod
-    2 pi on the grid, so H is periodic bit-exactly; the arithmetic is
-    elementwise, so a slice of the coefficients gives that slice of H."""
-    n, a = grid.n, grid.spec.lattice_constant
-    p = np.arange(n)
+    ``kderiv`` its analytic k-derivative, from the :func:`_mode_table` of
+    the grid.  The arithmetic is elementwise, so a slice of the
+    coefficients gives that slice of H."""
+    a = grid.spec.lattice_constant
+    cos_table, sin_table = table
     at_p = (slice(None),) + (None,) * (cos_coeffs.ndim - 1)
-    out = np.zeros((n,) + cos_coeffs.shape[1:], dtype=complex)
+    out = np.zeros((grid.n,) + cos_coeffs.shape[1:], dtype=complex)
     if not kderiv:
         out += cos_coeffs[0]
     for s in range(1, len(cos_coeffs)):
-        ang = 2.0 * np.pi * ((s * p) % n) / n
+        cos_s, sin_s = cos_table[s - 1][at_p], sin_table[s - 1][at_p]
         if kderiv:
-            out += (s * a) * (-np.sin(ang)[at_p] * cos_coeffs[s]
-                              + np.cos(ang)[at_p] * sin_coeffs[s])
+            out += (s * a) * (-sin_s * cos_coeffs[s] + cos_s * sin_coeffs[s])
         else:
-            out += np.cos(ang)[at_p] * cos_coeffs[s] + np.sin(ang)[at_p] * sin_coeffs[s]
+            out += cos_s * cos_coeffs[s] + sin_s * sin_coeffs[s]
     return out
 
 
 def _exp_i(generator: np.ndarray) -> np.ndarray:
-    """exp(i H) of a Hermitian (N, NB, NB) stack, by one stacked eigh."""
-    w, v = np.linalg.eigh(generator)
-    return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
+    """exp(i H) of a Hermitian (N, NB, NB) stack.
+
+    NB = 2 takes the SU(2) closed form: with H = t I + b.sigma,
+    exp(i H) = e^{i t} [cos|b| I + i (sin|b| / |b|)(H - t I)], where
+    sin|b| / |b| is taken as 1 at b = 0.  Every other NB takes one stacked
+    eigh, exp(i H) = V e^{i w} V^dag.
+    """
+    if generator.shape[-1] != 2:
+        w, v = np.linalg.eigh(generator)
+        return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
+    h00, h11 = generator[:, 0, 0].real, generator[:, 1, 1].real
+    t = (h00 + h11) / 2.0
+    b = np.hypot((h00 - h11) / 2.0, np.abs(generator[:, 0, 1]))
+    sinc = np.divide(np.sin(b), b, out=np.ones_like(b), where=b != 0.0)
+    phase = np.exp(1j * t)
+    out = (1j * phase * sinc)[:, None, None] * (generator - t[:, None, None] * np.eye(2))
+    out += (phase * np.cos(b))[:, None, None] * np.eye(2)
+    return out
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -110,19 +134,22 @@ def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
 
     modes=0 gives a k-independent unitary.  ``diagonal=True`` restricts
     every Fourier coefficient to a real diagonal matrix, producing a
-    U(1)^NB phase field.  Fixed seed means a bitwise reproducible field.
-    A value that overflows (a huge ``scale``) raises FloatingPointError,
-    as in :func:`gauge_audit`.
+    U(1)^NB phase field, exp(i H) entry by entry; otherwise U = exp(i H)
+    is taken by :func:`_exp_i`, in closed form for NB = 2 and by eigh for
+    any other NB.  Fixed seed means a bitwise reproducible field.  A value
+    that overflows (a huge ``scale``) raises FloatingPointError, as in
+    :func:`gauge_audit`.
     """
     coeffs = _fourier_coefficients(n_bands, modes, seed, scale, diagonal)
-    gen = _fourier_series(*coeffs, grid)
+    table = _mode_table(grid, modes)
+    gen = _fourier_series(*coeffs, table, grid)
     if diagonal:
         unitaries, m = np.zeros_like(gen), np.arange(n_bands)
         unitaries[:, m, m] = np.exp(1j * gen[:, m, m])
     else:
         unitaries = _exp_i(gen)
     return GaugeField(grid=grid, unitaries=unitaries, generator=gen,
-                      generator_kderiv=_fourier_series(*coeffs, grid, kderiv=True),
+                      generator_kderiv=_fourier_series(*coeffs, table, grid, kderiv=True),
                       diagonal=diagonal)
 
 
@@ -276,12 +303,14 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     """Before/after rows of four functionals under ``seeds`` random gauges.
 
     Gauge seed ``seed + s`` draws a U(1)^NB field and ``seed + s + 10000`` a
-    U(NB) field U = exp(i H), as :func:`random_gauge_field` does.  Each seed
-    gives four :class:`InvarianceReport` rows: ``diagonal_value`` (the
-    connection's band entry at ``kindex``, moved by d_k xi by design; limit
-    ``DIAGONAL_VALUE_TOL * a``), ``diagonal_loop`` and the re-gauged ribbon's
-    ``berry_phase`` under U(1)^NB, ``trace_loop`` under U(NB); loops within
-    ``LOOP_TOL``.
+    U(NB) field U = exp(i H), as :func:`random_gauge_field` does (U by
+    :func:`_exp_i`: in SU(2) closed form for NB = 2, by eigh for any other
+    NB); the mode angle table is built once per call.  Each seed gives four
+    :class:`InvarianceReport` rows: ``diagonal_value`` (the connection's
+    band entry at ``kindex``, moved by d_k xi by design; limit
+    ``DIAGONAL_VALUE_TOL * a``), ``diagonal_loop`` and the re-gauged
+    ribbon's ``berry_phase`` under U(1)^NB, ``trace_loop`` under U(NB);
+    loops within ``LOOP_TOL``.
 
     Only what the rows read is computed: per seed the band column of xi,
     of the connection (u M_bb u* + d_k xi) and of the ribbon (times u*),
@@ -297,15 +326,16 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     tolerances = (DIAGONAL_VALUE_TOL * grid.spec.lattice_constant, LOOP_TOL, LOOP_TOL, LOOP_TOL)
     before = (diagonal_value(conn, band, kindex), diagonal_loop(conn, band, grid),
               trace_loop(conn, grid), berry_phase(field, band))
+    table = _mode_table(grid, modes)
     reports = []
     for gauge_seed in range(seed, seed + seeds):
-        cos_coeffs, sin_coeffs = _fourier_coefficients(nb, modes, gauge_seed, scale, True)
-        xi = _fourier_series(cos_coeffs[:, band, band], sin_coeffs[:, band, band], grid)
+        coeffs = _fourier_coefficients(nb, modes, gauge_seed, scale, True)
+        xi = _fourier_series(*coeffs[:, :, band, band], table, grid)
         u = np.exp(1j * xi)
         a_bb = np.einsum("p,p,p->p", u, conn[:, band, band], u.conj()) \
             + central_difference(xi, dk)
         gen = _fourier_series(*_fourier_coefficients(nb, modes, gauge_seed + 10_000, scale,
-                                                     False), grid)
+                                                     False), table, grid)
         full = _exp_i(gen)
         traced = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1) \
             + central_difference(np.trace(gen, axis1=1, axis2=2), dk)

@@ -291,9 +291,24 @@ def _rows(fields: list) -> np.ndarray:
     return out[keep]
 
 
-def write_csv(path: Path, table: dict) -> int:
+class Written(int):
+    """The number of data rows :func:`write_csv` wrote, carrying ``sha256``,
+    the hex digest of the file's bytes.  It stays an ``int``, so a caller
+    that counts rows reads it as before."""
+
+    sha256: str
+
+    def __new__(cls, rows: int, sha256: str):
+        written = super().__new__(cls, rows)
+        written.sha256 = sha256
+        return written
+
+
+def write_csv(path: Path, table: dict) -> Written:
     """Write ``table`` ({column name: column}, columns of equal length) as
-    a CSV file with a header row; returns the number of data rows.
+    a CSV file with a header row; returns the number of data rows, with
+    the sha256 of the bytes written (hashed as they are written, so the
+    file is never read back).
 
     Cells keep one rule: a real (a Python or numpy ``float``) is written
     with 17 significant digits, an integer, a string or any other value as
@@ -312,25 +327,25 @@ def write_csv(path: Path, table: dict) -> int:
         raise ValueError(f"columns of {path.name} differ in length: {next(iter(table))!r} "
                          f"has {rows} rows, " + ", ".join(ragged))
     alone = len(columns) == 1
+    digest = hashlib.sha256()
     with open(path, "w", newline="") as text:
         fh, encoding = text.buffer, text.encoding
-        fh.write((",".join(_text(name, alone) for name in table) + "\r\n").encode(encoding))
+
+        def write(data):
+            fh.write(data)
+            digest.update(data)
+
+        write((",".join(_text(name, alone) for name in table) + "\r\n").encode(encoding))
         for start in range(0, rows, CHUNK_ROWS):
-            fh.write(_rows([_cells(column[start:start + CHUNK_ROWS], alone, encoding)
-                            for column in columns]))
-    return rows
-
-
-def sha256_of(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+            write(_rows([_cells(column[start:start + CHUNK_ROWS], alone, encoding)
+                         for column in columns]))
+    return Written(rows, digest.hexdigest())
 
 
 def write_manifest(outdir: Path, task: str, config: dict, seed, grids: dict,
                    tolerances: dict, files: list) -> Path:
+    """Write ``outdir/manifest.json``; ``files`` lists each output as
+    (name, data rows, sha256), as :func:`write_csv` returned them."""
     manifest = {
         "task": task,
         "seed": seed,
@@ -338,8 +353,8 @@ def write_manifest(outdir: Path, task: str, config: dict, seed, grids: dict,
         "tolerances": tolerances,
         "config": config,
         "outputs": [
-            {"file": name, "rows": rows, "sha256": sha256_of(outdir / name)}
-            for name, rows in files
+            {"file": name, "rows": int(rows), "sha256": sha256}
+            for name, rows, sha256 in files
         ],
     }
     path = outdir / "manifest.json"

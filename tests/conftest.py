@@ -25,3 +25,10 @@ def smooth_field(n_cells=64, seed=0, winding=1, a=1.0, **kw):
     spec = LatticeSpec(n_cells=n_cells, lattice_constant=a, n_bands=2)
     return two_band_field(smooth_angles(seed=seed, winding=winding, a=a, **kw),
                           build_kgrid(spec))
+
+
+def three_band_hamiltonian(k):
+    """A gapped 3-band Hamiltonian with complex hoppings."""
+    return np.array([[-2.0 + 0.2 * np.cos(k), 0.3 * np.exp(1j * k), 0.2 * np.exp(-1j * k)],
+                     [0.3 * np.exp(-1j * k), 0.1 * np.sin(k), 0.25 * np.exp(2j * k)],
+                     [0.2 * np.exp(1j * k), 0.25 * np.exp(-2j * k), 2.0 + 0.2 * np.cos(k)]])

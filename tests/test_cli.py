@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -226,31 +227,34 @@ def test_outdir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "connection.csv").exists()
 
 
-def test_every_task_csv_schema(tmp_path):
-    # headers must match the documented schemas exactly
-    expected = {
-        "crm": {"crm.csv": ["m", "p", "n", "q", "re", "im"]},
-        "connection": {"connection.csv": ["p", "m", "n", "re", "im"],
-                       "reduced_r.csv": ["p", "m", "n", "re", "im"]},
-        "berry-phase": {"berry_phase.csv": ["band", "theta"]},
-        "gauge-audit": {"gauge_audit.csv": ["name", "band", "seed", "before_re",
-                                            "before_im", "after_re", "after_im",
-                                            "delta", "invariant"]},
-        "shift-current": {"spectrum.csv": ["omega", "J_s", "skipped_fraction"]},
-        "pump": {"pump.csv": ["lambda", "P", "Q_cumulative"],
-                 "oracle.csv": ["preset", "band", "chern", "residue"]},
-        "divergence-demo": {"truncation.csv": ["W", "value"],
-                            "translation.csv": ["before", "after", "predicted_shift"]},
-        "incompleteness": {"residual.csv": ["n_max", "residual"],
-                           "orthogonality.csv": ["n_max", "N", "worst_off_diagonal"]},
-    }
+#: every task's documented files and their headers
+TASK_SCHEMAS = {
+    "crm": {"crm.csv": ["m", "p", "n", "q", "re", "im"]},
+    "connection": {"connection.csv": ["p", "m", "n", "re", "im"],
+                   "reduced_r.csv": ["p", "m", "n", "re", "im"]},
+    "berry-phase": {"berry_phase.csv": ["band", "theta"]},
+    "gauge-audit": {"gauge_audit.csv": ["name", "band", "seed", "before_re",
+                                        "before_im", "after_re", "after_im",
+                                        "delta", "invariant"]},
+    "shift-current": {"spectrum.csv": ["omega", "J_s", "skipped_fraction"]},
+    "pump": {"pump.csv": ["lambda", "P", "Q_cumulative"],
+             "oracle.csv": ["preset", "band", "chern", "residue"]},
+    "divergence-demo": {"truncation.csv": ["W", "value"],
+                        "translation.csv": ["before", "after", "predicted_shift"]},
+    "incompleteness": {"residual.csv": ["n_max", "residual"],
+                       "orthogonality.csv": ["n_max", "N", "worst_off_diagonal"]},
+}
+
+
+def run_every_task(tmp_path):
+    """Run each task of TASK_SCHEMAS at N=24; yields (task, output directory)."""
     models = {
         "pump": {"preset": "qwz-pump"},
         "shift-current": {"preset": "graphene-ribbon", "params": {"mass": 0.3}},
         "divergence-demo": {"preset": "vacuum-gap-chain"},
         "incompleteness": {"preset": "vacuum-gap-chain"},
     }
-    for i, (task, files) in enumerate(expected.items()):
+    for i, task in enumerate(TASK_SCHEMAS):
         out = tmp_path / f"t{i}"
         cfg = base_config(task, out, model=models.get(task),
                           lattice={"N": 24, "a": 1.0, "n_bands": 2})
@@ -262,8 +266,26 @@ def test_every_task_csv_schema(tmp_path):
             cfg["task"]["params"]["n_max_list"] = [1, 2]
         path = write_config(tmp_path, cfg, f"t{i}.json")
         assert main(["run", "--config", str(path)]) == 0, task
-        for name, header in files.items():
+        yield task, out
+
+
+def test_every_task_csv_schema(tmp_path):
+    # headers must match the documented schemas exactly
+    for task, out in run_every_task(tmp_path):
+        for name, header in TASK_SCHEMAS[task].items():
             assert read_csv(out / name)[0] == header, (task, name)
+
+
+def test_manifest_lists_each_file_with_the_sha256_of_its_bytes(tmp_path):
+    """The digests are taken as the files are written; each must equal the
+    sha256 of the file as it lies on disk, and the row count its data rows."""
+    for task, out in run_every_task(tmp_path):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [o["file"] for o in manifest["outputs"]] == list(TASK_SCHEMAS[task]), task
+        for entry in manifest["outputs"]:
+            data = (out / entry["file"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest(), (task, entry["file"])
+            assert entry["rows"] == data.count(b"\r\n") - 1, (task, entry["file"])
 
 
 def test_csv_seventeen_digit_round_trip(tmp_path):

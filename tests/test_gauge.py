@@ -1,22 +1,27 @@
+import hashlib
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crmatrix import (BlochField, InvarianceReport, LatticeSpec, TwoBandAngles,
                       ZeroOverlap, apply_gauge_to_field, berry_connection,
                       berry_phase, build_kgrid, central_difference,
                       curvature_substitution_check, diagonal_loop,
-                      diagonal_value, gauge, gauge_audit, gauge_transform,
-                      pump_family_from_angles, random_gauge_field,
+                      diagonal_value, eigenfield_from_hamiltonian, gauge, gauge_audit,
+                      gauge_transform, pump_family_from_angles, random_gauge_field,
                       similarity_transform, trace_loop, two_band_field)
 from crmatrix.cli import main
-from crmatrix.gauge import DIAGONAL_VALUE_TOL, LOOP_TOL, gauge_inhomogeneous_term
+from crmatrix.gauge import (DIAGONAL_VALUE_TOL, LOOP_TOL, _exp_i, _fourier_coefficients,
+                            gauge_inhomogeneous_term)
+from crmatrix.model import stack_unitarity_defect
 from crmatrix.presets import generic_two_band, graphene_loop, identity_field, qwz_pump
 from crmatrix.rmatrix import loop_phases
 
-from conftest import smooth_field
+from conftest import smooth_field, three_band_hamiltonian
 
 
 def grid_of(n, a=1.0, nb=2):
@@ -513,3 +518,111 @@ def test_gauge_audit_trace_loop_is_invariant_at_round_off(field, modes):
     assert len(rows) == 10
     assert all(r.invariant for r in rows)
     assert max(r.delta for r in rows) < 1e-14
+
+
+# -- seeded coefficient streams and exp(i H) -----------------------------
+
+#: sha256 of each stacked cos/sin coefficient array's dtype, shape and
+#: bytes, for _fourier_coefficients(NB, modes, seed, 0.3, diagonal), keyed
+#: (NB, modes, diagonal, seed); recorded when each matrix was drawn by
+#: its own normal calls, so every gauge seed of earlier runs is kept
+STREAM_DIGESTS = {
+    (1, 0, True, 0): "91b8febf5a3a9e6d89b6c13c8c72e7d555422db42401fb1996b2f77da30a218f",
+    (1, 0, True, 10007): "177ef0e5cc54da185ed8b30518b1977cdbe70be5b62b0e825d8f68e1a5090e18",
+    (1, 0, False, 0): "8d276c5c136fe06eb0056426827a138c73883cf15a42f053514bbaf8bff312be",
+    (1, 0, False, 10007): "95b31629f18757f29334eba6a67bb2adee6189bc22749d18a930ebcc435195f9",
+    (1, 3, True, 0): "97d8e5ec0f8258fb51e64ba158c50e45c45fd917c6d19b610ebe3d28dd67f031",
+    (1, 3, True, 10007): "9c0059c7fb4313e78188dc5cb2cf024ddf811111186f47cf92761ab3a6e27326",
+    (1, 3, False, 0): "686fbedb49201947096180d334ee4dfda0de33f1e9993aa59807f3f252f7682f",
+    (1, 3, False, 10007): "1814021c52f39d44388a1b2ef4365767b9924b661cbf326041d7fbe79395aa3f",
+    (2, 0, True, 0): "2df95f783d224186500090d36135831a4701b69b5cbf509cf271a77711230f5a",
+    (2, 0, True, 10007): "9ac759cab3b71661a24637c67ed711393b10fa1145aae85e7cff7857e300be13",
+    (2, 0, False, 0): "aa122bbb0dce39c2d375f7823a78256b87bec72fc413d43d94bb5bfa144973a3",
+    (2, 0, False, 10007): "e9c5c8f7cf61b2edd641468f5b8b196b3d0b2c5185f2bffa4bed8f796f9e2ce4",
+    (2, 3, True, 0): "80110a748a5b60a9df680103cf1b2591ff506e68dbf3c7379a475d3dbd02c3dc",
+    (2, 3, True, 10007): "626b424b2e0afed73bb8395d08dac98b3e848c6e0dbfeb0674a0200629df624c",
+    (2, 3, False, 0): "21ada09c17f4198718dee9dd7e846014ce89fc7d2cff1af7a189612ff949bd60",
+    (2, 3, False, 10007): "f6b74a8c40baa7e993cd91c8265e699dfd4b3b8ccb3fbfecf1fdf7916b3372ef",
+    (3, 0, True, 0): "270f15ab7c3558f3eb0af0b30b88406a901fad9762d2380085a748e22b1277fb",
+    (3, 0, True, 10007): "f058e659874c79098f3209d1c4284c52dd8db07d23aac344651d3e31d62d2991",
+    (3, 0, False, 0): "cd45ef406e9d366f86411421d8de262d0f43c7c6f063f88f76406edf7c141712",
+    (3, 0, False, 10007): "2cf8beef49bf6b8b42eb36dbbe6b71dbcd6c5213ab55737151fcddae1581d61f",
+    (3, 3, True, 0): "ab7c07b0328dc44d202dca44b73ab2229794f8f6e7f57c527d68c043698a87aa",
+    (3, 3, True, 10007): "10bd397f88ddd363c15cd0a4ce4017a0e376e6daf42e8ed107ff017b7f71bd17",
+    (3, 3, False, 0): "c9d017608f2ed7227308adb46b14f49a50238871ff391d41208ef835a7c009dd",
+    (3, 3, False, 10007): "a18fa2c084072dfc1658326ac43c67756972dbfda00b5747e6f854654cc679c1",
+}
+
+
+def test_fourier_coefficients_reproduce_the_pinned_streams():
+    def digest(coeffs):
+        h = hashlib.sha256()
+        for c in coeffs:
+            h.update(f"{c.dtype.str}{c.shape}".encode())
+            h.update(np.ascontiguousarray(c).tobytes())
+        return h.hexdigest()
+
+    drawn = {(nb, modes, diagonal, seed): digest(_fourier_coefficients(nb, modes, seed, 0.3,
+                                                                       diagonal))
+             for nb, modes, diagonal, seed in itertools.product((1, 2, 3), (0, 3),
+                                                                 (True, False), (0, 10_007))}
+    assert drawn == STREAM_DIGESTS
+
+
+def eigh_exp_i(h):
+    """exp(i H) of a Hermitian stack as V e^{i w} V^dag, by eigh."""
+    w, v = np.linalg.eigh(h)
+    return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
+
+
+#: an entry of t I + b.sigma: exactly zero, near 1e-10, or up to 1e3
+SU2_ENTRY = st.one_of(st.just(0.0), st.floats(-1e-10, 1e-10), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(SU2_ENTRY, SU2_ENTRY, SU2_ENTRY, SU2_ENTRY), min_size=1, max_size=8))
+@example([(0.0, 0.0, 0.0, 0.0), (-1e3, 0.0, 0.0, 0.0), (0.7, 0.0, 0.0, 0.0)])
+@example([(0.3, 1e-10, 0.0, 0.0), (-2.0, 6e-11, 5e-11, -3e-11), (0.0, 0.0, 0.0, 1e-10)])
+@example([(1e3, -1e3, 1e3, -1e3), (0.0, 1e3, -1e3, 1e3), (-1e3, 0.0, 7e2, 0.0)])
+def test_su2_closed_form_matches_eigh(entries):
+    """For NB = 2, exp(i H) in closed form is within 16 eps (1 + max|H|) of
+    eigh's per matrix, and unitary to 1e-14; at b = 0 it is e^{i t} I."""
+    t, d, re, im = np.array(entries).T
+    h = np.empty((len(entries), 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = t + d, t - d
+    h[:, 0, 1], h[:, 1, 0] = re + 1j * im, re - 1j * im
+    u = _exp_i(h)
+    limit = 16 * np.finfo(float).eps * (1 + np.max(np.abs(h), axis=(1, 2)))
+    assert np.all(np.max(np.abs(u - eigh_exp_i(h)), axis=(1, 2)) <= limit)
+    assert stack_unitarity_defect(u) <= 1e-14
+    scalar = (d == 0) & (re == 0) & (im == 0)
+    assert np.array_equal(u[scalar], np.exp(1j * t[scalar])[:, None, None] * np.eye(2))
+
+
+@pytest.mark.parametrize("nb", [1, 3])
+def test_exp_i_takes_eigh_off_two_bands(nb):
+    g = random_gauge_field(nb, grid_of(64, nb=nb), modes=3, seed=4)
+    assert g.unitaries.tobytes() == eigh_exp_i(g.generator).tobytes()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("nb", [2, 3])
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_gauge_audit_sweep(n, nb):
+    """Over N, modes, scale and NB every loop row is invariant; for NB = 2
+    each trace loop is within 1e-14 (1 + |before|) of the same row
+    recomputed with an eigh-built U."""
+    spec = LatticeSpec(n_cells=n, lattice_constant=1.0, n_bands=nb)
+    field = (generic_two_band(spec) if nb == 2
+             else eigenfield_from_hamiltonian(three_band_hamiltonian, build_kgrid(spec)))
+    grid, conn = field.grid, berry_connection(field).values
+    for modes, scale in itertools.product((0, 3, 6), (0.2, 2.0)):
+        rows = gauge_audit(field, 0, 4, modes, scale)
+        assert all(r.invariant for r in rows if r.name != "diagonal_value"), (modes, scale)
+        for r in (r for r in rows if nb == 2 and r.name == "trace_loop"):
+            gen = random_gauge_field(nb, grid, modes, r.seed + 10_000, scale=scale).generator
+            u = eigh_exp_i(gen)
+            traced = np.einsum("pmi,pij,pmj->pm", u, conn, u.conj()).sum(axis=1) \
+                + central_difference(np.trace(gen, axis1=1, axis2=2), grid.spacing)
+            after = trace_loop(traced[:, None, None], grid)
+            assert abs(r.after - after) <= 1e-14 * (1 + abs(r.before)), (modes, scale, r.seed)

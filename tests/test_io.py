@@ -6,6 +6,7 @@ byte for byte, what they write from the same library results.
 """
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -191,6 +192,18 @@ def test_write_csv_longer_than_one_chunk(tmp_path):
         "i": np.arange(rows), "x": values, "label": [f"r{i % 7}" for i in range(rows)],
         "y": values.tolist(),
     })
+
+
+@pytest.mark.parametrize("table", [
+    {}, {"a": [], "b": np.array([])}, {"s": ["x,y", 'q"', None, 1.5, 7]},
+    {"x": np.linspace(-3.0, 3.0, 2 * io.CHUNK_ROWS + 5), "i": np.arange(2 * io.CHUNK_ROWS + 5)},
+], ids=["no-columns", "no-rows", "quoted", "three-chunks"])
+def test_write_csv_returns_the_sha256_of_its_bytes(tmp_path, table):
+    path = tmp_path / "t.csv"
+    written = io.write_csv(path, table)
+    data = path.read_bytes()
+    assert written.sha256 == hashlib.sha256(data).hexdigest()
+    assert written == len(next(iter(table.values()), [])) and isinstance(written, int)
 
 
 def test_write_csv_names_each_ragged_column(tmp_path):

@@ -17,7 +17,7 @@ from crmatrix.errors import MissingEnergies
 from crmatrix.presets import graphene_loop, qwz_pump
 from crmatrix.transport import SpectrumResult, _track_branch
 
-from conftest import smooth_field
+from conftest import smooth_field, three_band_hamiltonian
 
 OCC = OccupationSpec([0.0, 1.0])  # band 0 is the upper band in these presets
 
@@ -263,12 +263,6 @@ def unblocked_spectrum(field, occ, d):
 def two_band_hamiltonian(k):
     return np.array([[0.9 + 0.3 * np.cos(k), 0.4 * np.exp(1j * k) + 0.2],
                      [0.4 * np.exp(-1j * k) + 0.2, -0.9 - 0.3 * np.cos(k)]])
-
-
-def three_band_hamiltonian(k):
-    return np.array([[-2.0 + 0.2 * np.cos(k), 0.3 * np.exp(1j * k), 0.2 * np.exp(-1j * k)],
-                     [0.3 * np.exp(-1j * k), 0.1 * np.sin(k), 0.25 * np.exp(2j * k)],
-                     [0.2 * np.exp(1j * k), 0.25 * np.exp(-2j * k), 2.0 + 0.2 * np.cos(k)]])
 
 
 @pytest.fixture(scope="module")
