@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -278,12 +279,38 @@ def load_config(path: Path) -> Context:
 
 # -- tasks -------------------------------------------------------------------
 
+class _IndexColumn:
+    """Index ``axis`` of every entry of an array of shape ``shape``, in C
+    order, as a column that :func:`io.write_csv` slices a block of rows at a
+    time, so no index of the whole table is held.  The index columns of one
+    table share ``blocks``, the indices of the last block on every axis,
+    made from one arange of its rows and the axis strides."""
+
+    def __init__(self, shape: tuple, axis: int, blocks: dict):
+        self.rows, self.shape, self.axis, self.blocks = math.prod(shape), shape, axis, blocks
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.rows)
+        if (start, stop) not in self.blocks:
+            row = np.arange(start, stop)
+            # row // stride of axis a is that of axis a - 1 times extent a, plus index a
+            quotients = [row // math.prod(self.shape[axis + 1:]) for axis in range(len(self.shape))]
+            self.blocks.clear()
+            self.blocks[start, stop] = [quotient - outer * extent for quotient, outer, extent
+                                        in zip(quotients, [0, *quotients], self.shape)]
+        return self.blocks[start, stop][self.axis]
+
+
 def _complex_table(values: np.ndarray, *index_names: str) -> dict:
     """One row per entry of ``values`` in C order: its indices, then its
     real and imaginary parts."""
-    index = np.indices(values.shape).reshape(values.ndim, -1)
-    flat = values.reshape(-1)
-    return {**dict(zip(index_names, index)), "re": flat.real, "im": flat.imag}
+    flat, blocks = values.reshape(-1), {}
+    return {**{name: _IndexColumn(values.shape, axis, blocks)
+               for axis, name in enumerate(index_names)},
+            "re": flat.real, "im": flat.imag}
 
 
 def _task_crm(ctx: Context):

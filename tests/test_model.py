@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crmatrix import (DegenerateRibbon, LatticeSpec, TwoBandAngles, build_kgrid,
                       eigenfield_from_hamiltonian, eigenfield_from_stack, fix_phase_gauge,
                       graphene_phases, honeycomb_phasor_sum, pump_family_from_angles,
                       pump_family_from_hamiltonian, pump_family_from_stack, two_band_field)
-from crmatrix.model import two_band_columns
+from crmatrix.model import _two_band_eigh, stack_unitarity_defect, two_band_columns
 from crmatrix.presets import qwz_hamiltonian, qwz_pump
 from crmatrix.rmatrix import central_difference, link_overlaps
 
@@ -186,8 +187,9 @@ def test_field_arrays_read_only():
 # -- the batched eigen path against the per-point loops it replaced -----------
 #
 # ``ref_*`` below are the former per-point eigen-decomposition loop (without
-# its guards), the per-column phase fix and the scalar qwz Hamiltonian, kept
-# as the reference: the stacked path must give the same bytes.
+# its guards), the per-column phase fix, the NB = 2 closed form and the scalar
+# qwz Hamiltonian, kept as the reference: the stacked path must give the same
+# bytes.
 
 def ref_fix_phase_gauge(coeffs):
     coeffs = np.array(coeffs, dtype=complex)
@@ -202,14 +204,41 @@ def ref_fix_phase_gauge(coeffs):
     return coeffs
 
 
+def ref_two_band_eigh(hk):
+    """The NB = 2 closed form of a gapped (P, 2, 2) stack: energies t -+ r;
+    in each column the component of modulus L = sqrt((1 + |d| / r) / 2) is
+    real and positive (the first at a tie, d = 0), the other is
+    s = (c / r) / 2L up to conjugate and sign, and L is raised just above
+    np.abs(s) where round-off puts it below."""
+    h00, h11, c = hk[:, 0, 0].real, hk[:, 1, 1].real, hk[:, 1, 0]
+    t, d = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11
+    r = np.hypot(d, np.abs(c))
+    big = np.sqrt(0.5 + 0.5 * (np.abs(d) / r))
+    small = np.empty_like(c)
+    small.real, small.imag = c.real / r, c.imag / r
+    small *= 0.5 / big
+    big = np.maximum(big, np.nextafter(np.abs(small), np.inf))
+    coeffs = np.empty(hk.shape, dtype=complex)
+    lower = d <= 0.0  # the lower band's pivot is its first component
+    coeffs[lower, 0, 0], coeffs[lower, 1, 0] = big[lower], -small[lower]
+    coeffs[~lower, 0, 0], coeffs[~lower, 1, 0] = -small[~lower].conj(), big[~lower]
+    upper = d >= 0.0  # so is the upper band's
+    coeffs[upper, 0, 1], coeffs[upper, 1, 1] = big[upper], small[upper]
+    coeffs[~upper, 0, 1], coeffs[~upper, 1, 1] = small[~upper].conj(), big[~upper]
+    return coeffs, np.stack([t - r, t + r], axis=-1)
+
+
 def ref_eigenfield(h, points, nb):
     coeffs = np.empty((len(points), nb, nb), dtype=complex)
     energies = np.empty((len(points), nb), dtype=float)
     for p, k in enumerate(points):
-        w, v = np.linalg.eigh(np.asarray(h(k), dtype=complex))
-        coeffs[p] = v
-        energies[p] = w
-    return ref_fix_phase_gauge(coeffs), energies
+        hk = np.asarray(h(k), dtype=complex)
+        if nb == 2:
+            (coeffs[p],), (energies[p],) = ref_two_band_eigh(hk[None])
+        else:
+            energies[p], vectors = np.linalg.eigh(hk)
+            coeffs[p] = ref_fix_phase_gauge(vectors)
+    return coeffs, energies
 
 
 def ref_pump_family(h, points, n_lambda, nb):
@@ -261,6 +290,10 @@ def test_qwz_hamiltonian_on_arrays_equals_scalar_calls(mu):
 
 def whole_stack_pump(hk):
     """The eigen path with each step over the whole stack at once."""
+    nb = hk.shape[-1]
+    if nb == 2:
+        coeffs, energies = ref_two_band_eigh(hk.reshape(-1, 2, 2))
+        return coeffs.reshape(hk.shape), energies.reshape(hk.shape[:-1])
     energies, coeffs = np.linalg.eigh(hk)
     return fix_phase_gauge(coeffs), energies
 
@@ -269,26 +302,39 @@ def whole_stack_links(cols, axis):
     return np.einsum("...l,...l->...", cols.conj(), np.roll(cols, -1, axis=axis))
 
 
-@pytest.mark.parametrize("n, n_lambda, mu", [
+def pump_stack(grid, n_lambda, model):
+    """h(k_p, lambda_j) of the qwz pump at mu = ``model``, or of
+    :func:`random_three_band`, stacked over the torus grid."""
+    k, lam = np.meshgrid(grid.points, np.arange(n_lambda) / n_lambda, indexing="ij")
+    if model == "three-band":
+        return random_three_band(0)(k[..., None, None], lam[..., None, None])
+    return qwz_hamiltonian(model)(k, lam)
+
+
+@pytest.mark.parametrize("n, n_lambda, model", [
     (40, 50, -1.0),  # 2,000 points: one block, every stack-sized array below 256 KiB
     (97, 61, 1.4),  # 5,917 points: the second block ends mid-block
     (128, 130, -3.0),  # 16,640 points: the links too pass 256 KiB
+    (97, 61, "three-band"),  # the eigh route, against eigh of the whole stack
 ])
-def test_blocked_eigen_path_and_links_equal_whole_stack_reference(n, n_lambda, mu):
-    grid = build_kgrid(LatticeSpec(n_cells=n, lattice_constant=1.0, n_bands=2))
-    hk = qwz_hamiltonian(mu)(*np.meshgrid(grid.points, np.arange(n_lambda) / n_lambda,
-                                          indexing="ij"))
+def test_blocked_eigen_path_and_links_equal_whole_stack_reference(n, n_lambda, model):
+    nb = 3 if model == "three-band" else 2
+    grid = build_kgrid(LatticeSpec(n_cells=n, lattice_constant=1.0, n_bands=nb))
+    hk = pump_stack(grid, n_lambda, model)
     coeffs, energies = whole_stack_pump(hk)
-    for fam in (qwz_pump(grid.spec, n_lambda, mu=mu), pump_family_from_stack(hk, grid)):
+    families = [pump_family_from_stack(hk, grid)]
+    if nb == 2:
+        families.append(qwz_pump(grid.spec, n_lambda, mu=model))
+    for fam in families:
         assert_same_bytes(fam.coeffs, coeffs)
         assert_same_bytes(fam.energies, energies)
-    field = eigenfield_from_stack(hk.reshape(-1, 2, 2)[:n], grid)
-    assert_same_bytes(field.coeffs, coeffs.reshape(-1, 2, 2)[:n])
-    for band in range(2):
+    field = eigenfield_from_stack(hk.reshape(-1, nb, nb)[:n], grid)
+    assert_same_bytes(field.coeffs, coeffs.reshape(-1, nb, nb)[:n])
+    for band in range(nb):
         for axis in range(2):
             assert_same_bytes(link_overlaps(fam.coeffs[..., band], axis),
                               whole_stack_links(coeffs[..., band], axis))
-    ribbon = coeffs.reshape(-1, 2, 2)[..., 0]  # up to 16,640 points: several blocks of rows
+    ribbon = coeffs.reshape(-1, nb, nb)[..., 0]  # up to 16,640 points: several blocks of rows
     assert_same_bytes(link_overlaps(ribbon, 0), whole_stack_links(ribbon, 0))
 
 
@@ -384,3 +430,53 @@ def test_stack_guards_name_the_first_bad_index():
     qwz = qwz_hamiltonian(0.0)(*np.meshgrid(grid.points, np.arange(4) / 4, indexing="ij"))
     with pytest.raises(DegenerateRibbon, match="k index 0, lambda index 2"):
         pump_family_from_stack(qwz, grid)
+
+
+#: an entry of t I + d sigma_z + (Re c) sigma_x + (Im c) sigma_y: exactly
+#: zero, near 1e-10, or up to 1e3; each matrix is scaled by 1e-150, 1 or 1e150,
+#: which can take its entries into the subnormal range
+TWO_BAND_ENTRY = st.one_of(st.just(0.0), st.floats(-1e-10, 1e-10), st.floats(-1e3, 1e3))
+TWO_BAND_SCALE = st.sampled_from([1e-150, 1.0, 1e150])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(TWO_BAND_SCALE, TWO_BAND_ENTRY, TWO_BAND_ENTRY, TWO_BAND_ENTRY,
+                          TWO_BAND_ENTRY), min_size=1, max_size=8))
+@example([(1.0, 0.3, 0.0, 0.8, -0.6), (1.0, -1.0, 0.0, 0.0, 1e-10), (1.0, 0.0, 0.0, -2.0, 0.0)])
+@example([(1.0, 0.5, 0.7, 0.0, 0.0), (1.0, 0.5, -0.7, 0.0, 0.0), (1.0, 0.0, -1e-10, 0.0, 0.0)])
+@example([(1e150, 1e3, -2.0, 1.5, 0.5), (1e-150, -3.0, 1e3, 1e-10, 7.0), (1e150, 0.0, 0.0, 1e3, 1e3)])
+@example([(1.0, 1e3, 1e-10, 2e-10, -1e-10), (1.0, -1e3, 0.4, 0.3, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0)])
+@example([(1e-150, 0.0, 0.0, 7.4e-165, 7.4e-165), (1e-150, 0.0, 7.4e-165, 0.0, 0.0)])
+@example([(1e150, 1.3e-11, 0.0, 0.0, 0.0), (1e150, 1e3, 0.0, 1e-300, 0.0)])
+@example([(1.0, 0.0, d, 0.6534234950126798, -0.379878965856145)  # |s| rounds above L
+          for d in (0.0, 7.558242471200032e-19, -7.558242471200032e-19)])
+def test_two_band_closed_form_matches_eigh(entries):
+    """The NB = 2 eigen path's closed form: energies within 8 eps max|H| of
+    eigh's, plus a few subnormal steps, where halving and hypot round;
+    columns within 16 eps max|H| / gap of eigh's phase-fixed ones,
+    except where |d| <= 32 eps max|H|, where the pivot of eigh's column is
+    round-off; unitary to 1e-14 where H is not scalar; and already in the
+    gauge of fix_phase_gauge, ties included: at d = 0 both columns take
+    their first component as the pivot."""
+    scale, t, d, re, im = np.array(entries).T
+    h = np.empty((len(entries), 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = scale * (t + d), scale * (t - d)
+    h[:, 1, 0] = scale * re + 1j * (scale * im)
+    h[:, 0, 1] = h[:, 1, 0].conj()
+    energies, coeffs = np.empty((len(h), 2)), np.empty_like(h)
+    _two_band_eigh(h, energies, coeffs)
+    w, v = np.linalg.eigh(h)
+    eps, size = np.finfo(float).eps, np.max(np.abs(h), axis=(1, 2))
+    assert np.all(np.max(np.abs(energies - w), axis=1)
+                  <= 8 * eps * size + 8 * np.finfo(float).smallest_subnormal)
+    half_difference = 0.5 * h[:, 0, 0].real - 0.5 * h[:, 1, 1].real
+    gap = w[:, 1] - w[:, 0]
+    pivoted = (gap > 0) & (np.abs(half_difference) > 32 * eps * size)
+    error = np.max(np.abs(coeffs - fix_phase_gauge(v)), axis=(1, 2))
+    assert np.all(error[pivoted] <= 16 * eps * (size[pivoted] / gap[pivoted]))
+    scalar = (half_difference == 0) & (h[:, 1, 0] == 0)
+    if not scalar.all():
+        assert stack_unitarity_defect(coeffs[~scalar]) <= 1e-14
+    assert fix_phase_gauge(coeffs).tobytes() == coeffs.tobytes()
+    tie = coeffs[(half_difference == 0) & ~scalar]
+    assert np.all((tie[:, 0].imag == 0) & (tie[:, 0].real > np.abs(tie[:, 1])))

@@ -339,6 +339,20 @@ def test_pump_trivial_phase():
     assert chern_number(fam, 0).value == 0
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_qwz_pump_sweep(n):
+    """Over N and mu at least 0.1 from the gap closings at -2, 0 and 2,
+    on an N x N torus: the plaquette invariant is sgn(mu) for |mu| < 2 and 0
+    beyond, its residue is below the limit, and the pumped charge is -C."""
+    for mu in (-3.0, -2.1, -1.9, -1.0, -0.1, 0.1, 0.5, 1.0, 1.9, 2.1, 2.6):
+        fam = qwz_pump(LatticeSpec(n, 1.0, 2), n, mu=mu)
+        oracle = chern_number(fam, 0)
+        assert oracle.value == (np.sign(mu) if abs(mu) < 2 else 0), mu
+        assert oracle.residue < transport.CHERN_RESIDUE_LIMIT, mu
+        assert abs(pumped_charge(fam, 0).delta_q + oracle.value) < 1e-9, mu
+
+
 def test_pump_polarization_mass_center_cancels():
     fam = qwz_pump(LatticeSpec(32, 1.0, 2, origin=5.0), 32, mu=-1.0)
     fam0 = qwz_pump(LatticeSpec(32, 1.0, 2), 32, mu=-1.0)
