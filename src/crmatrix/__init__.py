@@ -11,8 +11,7 @@ work.
 
 from .errors import (BranchTrackingError, ConfigError, CrmatrixError,
                      DegenerateRibbon, MissingEnergies, NonHermitianInput,
-                     NumericalGuardError, UnderResolvedGrid, UndefinedShift,
-                     ZeroOverlap)
+                     NumericalGuardError, UnderResolvedGrid, ZeroOverlap)
 from .model import (BlochField, KGrid, LatticeSpec, PumpFamily, TwoBandAngles,
                     build_kgrid, eigenfield_from_hamiltonian,
                     eigenfield_from_stack, fix_phase_gauge, graphene_phases,
@@ -22,11 +21,11 @@ from .model import (BlochField, KGrid, LatticeSpec, PumpFamily, TwoBandAngles,
 from .projection import (band_factor, embedded_gram, kron_embed,
                          pair_inner_product, site_factor, site_factor_frame,
                          wannier_coefficient, wannier_inverse)
-from .rmatrix import (ConnectionField, PositionMatrix, band_overlap,
-                      berry_connection, central_difference,
-                      crystal_momentum_matrix, link_overlaps, loop_phases,
-                      position_matrix, position_momentum_commutator,
-                      position_phase_sum, reduced_position_matrix)
+from .rmatrix import (ConnectionField, PositionMatrix, berry_connection,
+                      central_difference, crystal_momentum_matrix,
+                      link_overlaps, loop_phases, position_matrix,
+                      position_momentum_commutator, position_phase_sum,
+                      reduced_position_matrix)
 from .gauge import (CurvatureCheck, GaugeField, InvarianceReport,
                     apply_gauge_to_field, berry_phase,
                     curvature_substitution_check, diagonal_loop,
@@ -37,8 +36,7 @@ from .divergence import (SampledCellFunction, TranslationAudit,
                          projection_residual, translation_audit,
                          truncated_position_expectation)
 from .transport import (ChernResult, DriveSpec, OccupationSpec, PumpResult,
-                        SpectrumResult, chern_number, hopping_rate,
-                        pumped_charge, shift_current_spectrum,
-                        shift_vector, shift_vector_field)
+                        SpectrumResult, chern_number, pumped_charge,
+                        shift_current_spectrum, shift_vector_field)
 
 __version__ = "0.1.0"

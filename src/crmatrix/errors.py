@@ -30,11 +30,6 @@ class ZeroOverlap(NumericalGuardError):
     """A consecutive overlap in a phase product is numerically zero."""
 
 
-class UndefinedShift(NumericalGuardError):
-    """Off-diagonal position element too small (or its phase unresolved);
-    the phase derivative entering the shift vector is meaningless."""
-
-
 class MissingEnergies(NumericalGuardError):
     """Band energies are required but absent from the field."""
 

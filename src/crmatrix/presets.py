@@ -88,15 +88,21 @@ def qwz_hamiltonian(mu: float):
     """Two-band pump Hamiltonian h(k, lam) = sin k tau_x + sin(2 pi lam) tau_y
     + (mu + cos k + cos(2 pi lam)) tau_z.  ``k`` and ``lam`` may be arrays
     that broadcast together; h returns one 2 x 2 matrix per point, with
-    shape ``broadcast shape + (2, 2)``."""
-    tau_x = np.array([[0, 1], [1, 0]], dtype=complex)
-    tau_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    tau_z = np.array([[1, 0], [0, -1]], dtype=complex)
+    shape ``broadcast shape + (2, 2)``.  The entries are written directly,
+    with the bits (signed zeros included) of the complex Pauli sum."""
 
     def h(k, lam):
-        k, lam = np.asarray(k)[..., None, None], np.asarray(lam)[..., None, None]
-        return (np.sin(k) * tau_x + np.sin(2.0 * np.pi * lam) * tau_y
-                + (mu + np.cos(k) + np.cos(2.0 * np.pi * lam)) * tau_z)
+        turn = 2.0 * np.pi * np.asarray(lam)
+        s, y, z = np.sin(k), np.sin(turn), mu + np.cos(k) + np.cos(turn)
+        out = np.zeros(np.broadcast(s, z).shape + (2, 2), dtype=complex)
+        re, im = out.real, out.imag
+        # a real x times a zero Pauli entry is the signed zero x * 0.0, and
+        # a sum of zeros is -0 only if every term is
+        zeros_sy, zeros_yz = s * 0.0 + y * 0.0, y * 0.0 + z * 0.0
+        re[..., 0, 0], re[..., 1, 1] = zeros_sy + z, zeros_sy - z
+        re[..., 0, 1], re[..., 1, 0] = s + 0.0, s + zeros_yz
+        im[..., 0, 1], im[..., 1, 0] = 0.0 - y, y + 0.0
+        return out
 
     return h
 

@@ -48,9 +48,6 @@ class ConnectionField:
     def n_bands(self) -> int:
         return self.values.shape[1]
 
-    def max_nonhermiticity(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.conj().transpose(0, 2, 1))))
-
 
 def _values(matrix_field) -> np.ndarray:
     """The k-indexed matrices of a :class:`ConnectionField` or a plain array."""
@@ -82,11 +79,6 @@ def reduced_position_matrix(field: BlochField) -> ConnectionField:
     rbar = field.grid.spec.rbar
     vals = conn.values + rbar * np.eye(field.n_bands)[None, :, :]
     return ConnectionField(grid=field.grid, values=vals, hermiticity_defect=conn.hermiticity_defect)
-
-
-def band_overlap(field: BlochField, p: int, q: int) -> np.ndarray:
-    """Band overlap factor K_{m,n}(k_p, k_q) = sum_l conj(a_l^{(m)}(k_p)) a_l^{(n)}(k_q)."""
-    return field.coeffs[p].conj().T @ field.coeffs[q]
 
 
 def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
@@ -201,7 +193,8 @@ def position_matrix(field: BlochField) -> PositionMatrix:
     """Assemble the full position matrix.
 
     Entry ((m,p),(n,q)) = delta_{pq} A_{m,n}(k_p)
-    + K_{m,n}(k_p,k_q) * (1/N) sum_j R_j e^{i(k_p-k_q) R_j}.
+    + K_{m,n}(k_p,k_q) * (1/N) sum_j R_j e^{i(k_p-k_q) R_j},
+    with the band overlap K_{m,n}(k_p,k_q) = sum_l conj(a_l^{(m)}(k_p)) a_l^{(n)}(k_q).
 
     The second term is evaluated for every (p, q) including p = q, where it
     lands on delta_{m,n} Rbar only because the coefficient matrices are

@@ -1,10 +1,10 @@
 """Transport observables built on the reduced position matrix.
 
-Shift vector, golden-rule hopping rates, the DC shift-current spectrum,
-and adiabatic charge pumping with an independent plaquette invariant as
-oracle.  Units: e = hbar = 1; spectra are reported up to a global positive
-constant.  The crystal mass center enters every band diagonal identically
-and cancels in each observable; tests move the lattice origin to confirm.
+Shift vector, the DC shift-current spectrum, and adiabatic charge pumping
+with an independent plaquette invariant as oracle.  Units: e = hbar = 1;
+spectra are reported up to a global positive constant.  The crystal mass
+center enters every band diagonal identically and cancels in each
+observable; tests move the lattice origin to confirm.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BranchTrackingError, MissingEnergies, UndefinedShift,
-                     UnderResolvedGrid)
+from .errors import BranchTrackingError, MissingEnergies, UnderResolvedGrid
 from .model import ROW_BLOCK, BlochField, PumpFamily
 from .rmatrix import ConnectionField, _values, link_overlaps, loop_phases, reduced_position_matrix
 
@@ -110,7 +109,8 @@ def shift_vector_field(field: BlochField, m: int, n: int,
     cancels the diagonal shift, and the discrete increment form makes the
     cancellation exact on the grid rather than O(dk^2).  Points where |r_mn|
     (at p or either neighbour) is below ``SHIFT_MODULUS_TOL * a``, or where
-    the phase increment exceeds pi/2, are marked undefined.
+    the phase increment exceeds pi/2, are marked undefined.  ``connection``,
+    a :class:`ConnectionField` or its values, stands in for r of the field.
     """
     if m == n:
         raise ValueError("shift vector needs two distinct bands")
@@ -125,42 +125,6 @@ def shift_vector_field(field: BlochField, m: int, n: int,
     x = np.where(defined, inc, np.nan) / (2.0 * dk)
     diag = np.real(vals[:, m, m] - vals[:, n, n])
     return diag - x, defined
-
-
-def shift_vector(field: BlochField, m: int, n: int, kindex: int,
-                 connection: Optional[ConnectionField] = None) -> float:
-    """Shift vector at a single grid point; raises UndefinedShift where the
-    off-diagonal phase derivative is meaningless."""
-    values, defined = shift_vector_field(field, m, n, connection=connection)
-    if not defined[kindex]:
-        raise UndefinedShift(
-            f"shift vector undefined between bands {m},{n} at k index {kindex}")
-    return float(values[kindex])
-
-
-def _require_energies(field: BlochField) -> np.ndarray:
-    if field.energies is None:
-        raise MissingEnergies("band energies are required for rates and spectra")
-    return field.energies
-
-
-def hopping_rate(field: BlochField, occ: OccupationSpec, drive: DriveSpec,
-                 m: int, n: int, kindex: int, omega: float,
-                 connection: Optional[ConnectionField] = None) -> float:
-    """Golden-rule rate for the n -> m transition at one k and drive frequency.
-
-    gamma = f_{m,n} |r_{m,n}|^2 L_eta(omega_{m,n} - omega) E(omega)E(-omega),
-    with |r_{m,n}|^2 = r_{m,n} r_{n,m} by Hermiticity and E real even.
-    """
-    if m == n:
-        raise ValueError("hopping rate needs two distinct bands")
-    energies = _require_energies(field)
-    vals = _connection(field, connection)
-    f = occ.difference(m, n, field.n_k)[kindex]
-    w_mn = energies[kindex, m] - energies[kindex, n]
-    amp = float(np.interp(omega, drive.frequencies, drive.amplitude))
-    r2 = float(np.abs(vals[kindex, m, n]) ** 2)
-    return float(f * r2 * drive.lorentzian(w_mn - omega) * amp * amp)
 
 
 @dataclass(frozen=True)
@@ -187,7 +151,9 @@ def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], dri
     for w >= 2, the order of the unblocked sum, but pairwise for w = 1,
     which would change the last bits.
     """
-    energies = _require_energies(field)
+    energies = field.energies
+    if energies is None:
+        raise MissingEnergies("band energies are required for the shift-current spectrum")
     vals = _connection(field, connection)
     nb, nk = field.n_bands, field.n_k
     dk = field.grid.spacing
@@ -208,7 +174,8 @@ def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], dri
     for hi in range(nb):
         for lo in range(hi):
             m, n = int(order[hi]), int(order[lo])
-            shift, defined = shift_vector_field(field, m, n, connection=connection)
+            # the r built above, not one rebuilt per band pair
+            shift, defined = shift_vector_field(field, m, n, connection=vals)
             pairs += nk
             skipped += int(np.sum(~defined))
             if not np.any(defined):

@@ -12,10 +12,11 @@ import pytest
 
 from crmatrix import (BlochField, ConnectionField, DriveSpec, LatticeSpec,
                       OccupationSpec, TwoBandAngles, apply_gauge_to_field,
-                      band_overlap, berry_connection, berry_phase, build_kgrid,
+                      berry_connection, berry_phase, build_kgrid,
                       chern_number, curvature_substitution_check, diagonal_loop,
                       diagonal_value, embedded_gram, gauge_transform,
-                      position_momentum_commutator, pump_family_from_angles,
+                      position_matrix, position_momentum_commutator,
+                      position_phase_sum, pump_family_from_angles,
                       pumped_charge, random_gauge_field,
                       reduced_position_matrix, shift_current_spectrum,
                       two_band_field)
@@ -54,11 +55,13 @@ def test_criterion_02_closed_form_overlaps():
     grid = build_kgrid(spec)
     f = two_band_field(angles, grid)
     th, ph = angles.theta(grid.points), angles.phi(grid.points)
+    crm = position_matrix(f)
+    s = position_phase_sum(grid)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
-        p, q = rng.integers(0, 64, 2)
-        k = band_overlap(f, p, q)
+        p, q = rng.choice(64, 2, replace=False)
+        k = crm.block(p, q) / s[p, q]  # the overlap factor of a CRM block
         k11 = (np.cos(th[p] / 2) * np.cos(th[q] / 2)
                + np.sin(th[p] / 2) * np.sin(th[q] / 2) * np.exp(-1j * (ph[p] - ph[q])))
         k12 = (-np.cos(th[p] / 2) * np.sin(th[q] / 2) * np.exp(-1j * ph[q])

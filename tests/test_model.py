@@ -288,6 +288,18 @@ def test_qwz_hamiltonian_on_arrays_equals_scalar_calls(mu):
         assert_same_bytes(stacked, scalar)
 
 
+def test_qwz_hamiltonian_keeps_the_signed_zeros_of_the_pauli_sum():
+    # at mu = 0 the tau_z coefficient cancels to +0 on this grid, and -0.0
+    # inputs make -0 Pauli terms; every zero keeps the sum's sign
+    edge = np.array([0.0, -0.0, 0.5, -0.5, np.pi, -np.pi])
+    k = np.concatenate((build_kgrid(LatticeSpec(384, 1.0, 2)).points, edge))
+    lam = np.concatenate((np.arange(96) / 96, edge))
+    kk, ll = np.meshgrid(k, lam, indexing="ij")
+    for mu in (0.0, -1.0):
+        assert_same_bytes(qwz_hamiltonian(mu)(kk, ll),
+                          ref_qwz_hamiltonian(mu)(kk[..., None, None], ll[..., None, None]))
+
+
 def whole_stack_pump(hk):
     """The eigen path with each step over the whole stack at once."""
     nb = hk.shape[-1]

@@ -5,14 +5,14 @@ import pytest
 
 from crmatrix import gauge, transport
 from crmatrix import (BlochField, BranchTrackingError, ConnectionField, DriveSpec,
-                      LatticeSpec, OccupationSpec, TwoBandAngles, UndefinedShift,
-                      UnderResolvedGrid, ZeroOverlap, berry_phase, build_kgrid, chern_number,
-                      eigenfield_from_hamiltonian, gauge_audit, gauge_transform, hopping_rate,
+                      LatticeSpec, OccupationSpec, TwoBandAngles, UnderResolvedGrid,
+                      ZeroOverlap, berry_phase, build_kgrid, chern_number,
+                      eigenfield_from_hamiltonian, gauge_audit, gauge_transform,
                       link_overlaps,
                       pump_family_from_angles, pump_family_from_hamiltonian,
                       pumped_charge, random_gauge_field,
                       reduced_position_matrix, shift_current_spectrum,
-                      shift_vector, shift_vector_field, two_band_field)
+                      shift_vector_field, two_band_field)
 from crmatrix.errors import MissingEnergies
 from crmatrix.presets import graphene_loop, qwz_pump
 from crmatrix.transport import SpectrumResult, _track_branch
@@ -106,17 +106,15 @@ def test_shift_vector_antisymmetric():
     assert np.max(np.abs(r01[both] + r10[both])) < 1e-12
 
 
-def test_shift_vector_undefined_raises():
+def test_shift_vector_undefined_point_is_masked():
     spec = LatticeSpec(64, 1.0, 2)
     grid = build_kgrid(spec)
     f = two_band_field(TwoBandAngles(theta=lambda k: 1.2 + 0.5 * np.sin(k),
                                      phi=lambda k: 0.0 * k), grid)
-    _, defined = shift_vector_field(f, 0, 1)
-    bad = int(np.argmin(defined))
-    with pytest.raises(UndefinedShift):
-        shift_vector(f, 0, 1, bad)
-    good = int(np.argmax(defined))
-    assert np.isfinite(shift_vector(f, 0, 1, good))
+    values, defined = shift_vector_field(f, 0, 1)
+    assert not defined.all() and defined.any()
+    assert np.all(np.isnan(values[~defined]))
+    assert np.all(np.isfinite(values[defined]))
 
 
 def test_shift_vector_gauge_invariant_k_dependent_diagonal():
@@ -128,44 +126,49 @@ def test_shift_vector_gauge_invariant_k_dependent_diagonal():
         assert np.max(np.abs(vals[defined] - base[defined])) < 1e-10
 
 
-# -- hopping rate -------------------------------------------------------------
+# -- shift current spectrum ----------------------------------------------------
 
 
-def test_hopping_rate_pauli_blocked():
+def test_spectrum_pauli_blocked():
     f = massive_loop(64)
-    occ = OccupationSpec([0.5, 0.5])
-    assert hopping_rate(f, occ, drive(), 0, 1, 3, 1.5) == 0.0
+    res = shift_current_spectrum(f, OccupationSpec([0.5, 0.5]), drive())
+    assert np.all(res.currents == 0.0)
 
 
-def test_hopping_rate_requires_energies():
+def test_spectrum_requires_energies():
     f = smooth_field(n_cells=32, seed=0)
     with pytest.raises(MissingEnergies):
-        hopping_rate(f, OCC, drive(), 0, 1, 0, 1.0)
+        shift_current_spectrum(f, OCC, drive())
 
 
-def test_hopping_rate_off_resonance_bounded_by_tail():
+def test_spectrum_off_resonance_bounded_by_tail():
+    # far above every resonance the Lorentzian is below its tail
+    # eta / (pi (w_mn - w)^2) at each k, so |J| is below the tail sum
     f = massive_loop(64)
     eta = 0.02
-    d = DriveSpec(np.linspace(0.1, 30.0, 300), 1.0, eta)
-    p = 10
-    w_mn = f.energies[p, 0] - f.energies[p, 1]
-    omega = w_mn + 8.0  # far off resonance
-    rate = hopping_rate(f, OCC, d, 0, 1, p, omega)
-    conn = reduced_position_matrix(f).values
-    prefactor = abs(conn[p, 0, 1]) ** 2  # f = 1, E = 1
-    assert 0 < rate < prefactor * eta / (np.pi * (w_mn - omega) ** 2)
+    w_mn = f.energies[:, 0] - f.energies[:, 1]
+    omega = w_mn.max() + 8.0
+    res = shift_current_spectrum(f, OCC, DriveSpec([omega], 1.0, eta))
+    shift, defined = shift_vector_field(f, 0, 1)
+    r2 = np.abs(reduced_position_matrix(f).values[:, 0, 1]) ** 2  # f = 1, E = 1
+    tail = np.abs(shift[defined]) * r2[defined] * eta / (np.pi * (w_mn[defined] - omega) ** 2)
+    assert 0 < abs(res.currents[0]) <= np.sum(tail) * f.grid.spacing
 
 
-def test_hopping_rate_gauge_invariant():
-    f = massive_loop(64)
-    base = hopping_rate(f, OCC, drive(), 0, 1, 7, 1.5)
-    for seed in range(20):
-        got = hopping_rate(f, OCC, drive(), 0, 1, 7, 1.5,
-                           connection=gauged_connection(f, seed))
-        assert abs(got - base) < 1e-10
+def test_spectrum_builds_the_reduced_position_matrix_once(monkeypatch):
+    calls = []
+    build = transport.reduced_position_matrix
 
+    def counted(field):
+        calls.append(field.n_bands)
+        return build(field)
 
-# -- shift current spectrum ----------------------------------------------------
+    monkeypatch.setattr(transport, "reduced_position_matrix", counted)
+    f = eigenfield_from_hamiltonian(three_band_hamiltonian,
+                                    build_kgrid(LatticeSpec(64, 1.0, 3)))
+    res = shift_current_spectrum(f, None, drive(0.5, 5.0, 31))
+    assert np.any(res.currents != 0.0)
+    assert len(calls) == 1
 
 
 def test_spectrum_real_family_identically_zero():
