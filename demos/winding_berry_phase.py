@@ -14,8 +14,8 @@ from crmatrix.presets import DIRAC_POINT, graphene_loop
 print("phase winding around the touching point (12-point loops):")
 for radius in (0.05, 0.5):
     t = 2 * np.pi * np.arange(12) / 12
-    _, phi = graphene_phases(DIRAC_POINT[0] + radius * np.cos(t),
-                             DIRAC_POINT[1] + radius * np.sin(t))
+    _, phi, _ = graphene_phases(DIRAC_POINT[0] + radius * np.cos(t),
+                                DIRAC_POINT[1] + radius * np.sin(t))
     inc = np.angle(np.exp(1j * np.diff(np.append(phi, phi[0]))))
     print(f"  radius {radius:4.2f}: winding {np.sum(inc) / (2 * np.pi):+.3f}")
 

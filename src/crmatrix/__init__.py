@@ -12,7 +12,7 @@ work.
 from .errors import (BranchTrackingError, ConfigError, CrmatrixError,
                      DegenerateRibbon, MissingEnergies, NonHermitianInput,
                      NumericalGuardError, UnderResolvedGrid, ZeroOverlap)
-from .model import (BlochField, KGrid, LatticeSpec, PumpFamily, TwoBandAngles,
+from .model import (BlochField, KGrid, LatticeSpec, PumpFamily,
                     build_kgrid, eigenfield_from_hamiltonian,
                     eigenfield_from_stack, fix_phase_gauge, graphene_phases,
                     honeycomb_phasor_sum, pump_family_from_angles,

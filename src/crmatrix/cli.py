@@ -22,7 +22,7 @@ import numpy as np
 
 from . import divergence, gauge, io, presets, transport
 from .errors import ConfigError, NumericalGuardError
-from .model import (BlochField, LatticeSpec, TwoBandAngles, _first, _where, build_kgrid,
+from .model import (BlochField, LatticeSpec, _first, _where, build_kgrid,
                     eigenfield_from_stack, two_band_field)
 from .rmatrix import (ZERO_OVERLAP_TOL, berry_connection, position_matrix,
                       reduced_position_matrix)
@@ -101,12 +101,10 @@ def _real_angle(code, key: str, k: np.ndarray, a: float) -> np.ndarray:
     """An angle expression on the k array; a nonzero imaginary part is a
     ConfigError naming the key and the first such point."""
     values = np.broadcast_to(_eval_expr(code, k=k, a=a), np.shape(k))
-    if np.iscomplexobj(values):
-        if np.any(values.imag != 0):
-            at = _first(values.imag != 0)
-            raise ConfigError(f"model.angles.{key} is complex at {_where(at)}: {values[at]}")
-        values = values.real
-    return values.astype(float)
+    if np.any(np.imag(values) != 0):
+        at = _first(np.imag(values) != 0)
+        raise ConfigError(f"model.angles.{key} is complex at {_where(at)}: {values[at]}")
+    return np.real(values).astype(float)
 
 
 def _model_builder(model: dict, params: dict, spec: LatticeSpec) -> Callable[..., BlochField]:
@@ -120,13 +118,8 @@ def _model_builder(model: dict, params: dict, spec: LatticeSpec) -> Callable[...
     if "angles" in model:
         codes = {key: _compile_expr(expr, f"model.angles.{key}")
                  for key, expr in model["angles"].items()}
-
-        def angle(key):
-            code = codes.get(key)
-            return None if code is None else (lambda k: _real_angle(code, key, k, a))
-
-        angles = TwoBandAngles(*map(angle, ("theta", "phi", "dtheta", "dphi")))
-        return lambda: _library_rule("model.angles", two_band_field, angles, grid)
+        return lambda: _library_rule("model.angles", two_band_field, grid, **{
+            key: _real_angle(code, key, grid.points, a) for key, code in codes.items()})
     if "hamiltonian" in model:
         table, nb = model["hamiltonian"], spec.n_bands
         if (not isinstance(table, list) or len(table) != nb

@@ -238,30 +238,30 @@ def _numeric(part):
     return None
 
 
-def _texts(cells, alone: bool, encoding: str, width: int = 1) -> tuple:
-    """``cells`` one by one through :func:`_text`, encoded in ``encoding``:
+def _texts(cells, alone: bool, width: int = 1) -> tuple:
+    """``cells`` one by one through :func:`_text`, encoded as UTF-8:
     (text, keep) of at least ``width`` bytes a row, left-aligned."""
-    encoded = [_text(cell, alone).encode(encoding) for cell in cells]
+    encoded = [_text(cell, alone).encode("utf-8") for cell in cells]
     width = max([width, *map(len, encoded)])
     text = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
     return text, _prefixes(width).take([len(cell) for cell in encoded], axis=0)
 
 
-def _cells(part, alone: bool, encoding: str) -> tuple:
+def _cells(part, alone: bool) -> tuple:
     """One block of a column as (text, keep): cell i is the bytes of row i
     of the uint8 matrix ``text`` where the bool matrix ``keep`` holds.
     Cells the integer-arithmetic path cannot format exactly go through
     :func:`_texts`."""
     values = _numeric(part)
     if values is None:
-        return _texts(part.tolist() if isinstance(part, np.ndarray) else part, alone, encoding)
+        return _texts(part.tolist() if isinstance(part, np.ndarray) else part, alone)
     if values.dtype != np.float64:
         return _integer_cells(values)
     text, keep, exact = _real_cells(values)
     others = np.flatnonzero(~exact)
     if others.size:
         cells = part[others].tolist() if isinstance(part, np.ndarray) else [part[i] for i in others]
-        more, more_keep = _texts(cells, alone, encoding, text.shape[1])
+        more, more_keep = _texts(cells, alone, text.shape[1])
         if more.shape[1] > text.shape[1]:
             grow = ((0, 0), (0, more.shape[1] - text.shape[1]))
             text, keep = np.pad(text, grow), np.pad(keep, grow)
@@ -313,11 +313,10 @@ def write_csv(path: Path, table: dict) -> Written:
     Cells keep one rule: a real (a Python or numpy ``float``) is written
     with 17 significant digits, an integer, a string or any other value as
     ``str`` gives it, with csv's minimal quoting and ``\r\n`` line ends,
-    in the encoding a text-mode ``open`` gives the file.  Arrays are taken
-    as ``tolist`` gives their cells and lists as they are, so an integer
-    never passes through a float.  ``CHUNK_ROWS`` rows at a time, each
-    column is formatted as a byte matrix (see the module docstring) and the
-    rows' bytes are written at once.
+    encoded as UTF-8.  Arrays are taken as ``tolist`` gives their cells and
+    lists as they are, so an integer never passes through a float.
+    ``CHUNK_ROWS`` rows at a time, each column is formatted as a byte matrix
+    (see the module docstring) and the rows' bytes are written at once.
     """
     columns = list(table.values())
     rows = len(columns[0]) if columns else 0
@@ -328,17 +327,15 @@ def write_csv(path: Path, table: dict) -> Written:
                          f"has {rows} rows, " + ", ".join(ragged))
     alone = len(columns) == 1
     digest = hashlib.sha256()
-    with open(path, "w", newline="") as text:
-        fh, encoding = text.buffer, text.encoding
+    with open(path, "wb") as fh:
 
         def write(data):
             fh.write(data)
             digest.update(data)
 
-        write((",".join(_text(name, alone) for name in table) + "\r\n").encode(encoding))
+        write((",".join(_text(name, alone) for name in table) + "\r\n").encode("utf-8"))
         for start in range(0, rows, CHUNK_ROWS):
-            write(_rows([_cells(column[start:start + CHUNK_ROWS], alone, encoding)
-                         for column in columns]))
+            write(_rows([_cells(column[start:start + CHUNK_ROWS], alone) for column in columns]))
     return Written(rows, digest.hexdigest())
 
 

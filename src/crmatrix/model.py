@@ -99,25 +99,6 @@ def build_kgrid(spec: LatticeSpec) -> KGrid:
 
 
 @dataclass(frozen=True)
-class TwoBandAngles:
-    """Bloch-sphere angle functions theta(k), phi(k) for a two-band model.
-
-    ``dtheta``/``dphi`` are optional analytic k-derivatives; when present
-    the Berry connection is evaluated analytically instead of by central
-    differences.
-    """
-
-    theta: Callable[[np.ndarray], np.ndarray]
-    phi: Callable[[np.ndarray], np.ndarray]
-    dtheta: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    dphi: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @property
-    def has_derivatives(self) -> bool:
-        return self.dtheta is not None and self.dphi is not None
-
-
-@dataclass(frozen=True)
 class BlochField:
     """Coefficient columns of a band ribbon on a k-grid.
 
@@ -192,52 +173,61 @@ def two_band_columns(theta, phi) -> np.ndarray:
     return coeffs
 
 
-def two_band_field(angles: TwoBandAngles, grid: KGrid,
+def two_band_field(grid: KGrid, theta, phi, dtheta=None, dphi=None,
                    energies: Optional[np.ndarray] = None) -> BlochField:
-    """Closed-form two-band ribbon from Bloch-sphere angles; columns as in
-    :func:`two_band_columns`."""
-    k = grid.points
-    th = np.asarray(angles.theta(k), dtype=float)
-    ph = np.asarray(angles.phi(k), dtype=float)
-    coeffs = two_band_columns(th, ph)
+    """Closed-form two-band ribbon from Bloch-sphere angles on
+    ``grid.points``, columns as in :func:`two_band_columns`; each angle is
+    an array of shape ``(grid.n,)``.  With both k-derivatives ``dtheta``
+    and ``dphi`` the analytic column derivatives are attached, so the Berry
+    connection skips central differences; a non-finite one is a ValueError."""
     if grid.spec.n_bands != 2:
         raise ValueError("two_band_field requires a 2-band lattice spec")
+    th, ph = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if th.shape != grid.points.shape or ph.shape != grid.points.shape:
+        raise ValueError(f"angle arrays of shapes {th.shape}, {ph.shape} on {grid.n} momenta")
+    coeffs = two_band_columns(th, ph)
 
     dcoeffs = None
-    if angles.has_derivatives:
+    if dtheta is not None and dphi is not None:
         c, s = np.cos(th / 2.0), np.sin(th / 2.0)
         eip, eim = np.exp(1j * ph), np.exp(-1j * ph)
-        dth = np.asarray(angles.dtheta(k), dtype=float)
-        dph = np.asarray(angles.dphi(k), dtype=float)
+        dth, dph = np.asarray(dtheta, dtype=float), np.asarray(dphi, dtype=float)
+        if not (np.all(np.isfinite(dth)) and np.all(np.isfinite(dph))):
+            raise ValueError("angle derivatives produced non-finite values on the grid")
         dcoeffs = np.empty_like(coeffs)
-        dcoeffs[:, 0, 0] = -s * dth / 2.0
+        dcoeffs[:, 0, 0] = dcoeffs[:, 1, 1] = -s * dth / 2.0
         dcoeffs[:, 1, 0] = (c * dth / 2.0 + 1j * s * dph) * eip
         dcoeffs[:, 0, 1] = (-c * dth / 2.0 + 1j * s * dph) * eim
-        dcoeffs[:, 1, 1] = -s * dth / 2.0
 
     return BlochField(grid=grid, coeffs=coeffs, energies=energies, dcoeffs=dcoeffs)
 
 
-def graphene_phases(kx, ky, bond: float = 1.0):
-    """Two-band angles (theta, phi) of the honeycomb nearest-neighbour model.
+def graphene_phases(kx, ky, bond: float = 1.0, hopping: float = 1.0, mass: float = 0.0):
+    """(theta, phi, energy) of the honeycomb nearest-neighbour model at
+    momenta (kx, ky) with a sublattice ``mass``: the upper-band energy
+    E = sqrt(mass^2 + |hopping f|^2) of the three-phasor hopping sum f,
+    theta = arccos(mass / E) (pi/2 at zero mass) and phi = -arg f.
 
-    theta is identically pi/2 (equal sublattice weight); phi is minus the
-    argument of the three-phasor hopping sum.  Raises at points where the
-    phasor sum vanishes (band touching; the argument is undefined there).
-
-    Parameters
-    ----------
-    kx, ky : float or ndarray
-        Momentum components (reciprocal length).
-    bond : float
-        Nearest-neighbour bond length.
+    A vanishing f (band touching, where arg f is undefined) or a zero E
+    raises :class:`DegenerateRibbon`; a bond length not above 0 or an E
+    beyond the float range raises ValueError (OverflowError where
+    ``mass**2`` alone overflows).
     """
     if not bond > 0:
         raise ValueError("bond length must be > 0")
     f = honeycomb_phasor_sum(kx, ky, bond)
-    if np.any(np.abs(f) < 1e-12):
-        raise ZeroDivisionError("phasor sum vanishes (band touching point); phase undefined")
-    return np.full(f.shape, np.pi / 2.0), -np.angle(f)
+    touching = np.abs(f) < 1e-12
+    if np.any(touching):
+        raise DegenerateRibbon(f"phasor sum vanishes at k index {int(np.argmax(touching))} "
+                               f"(band-touching point); phase undefined")
+    with np.errstate(over="ignore"):
+        energy = np.sqrt(mass ** 2 + (hopping * np.abs(f)) ** 2)
+    if not np.all(np.isfinite(energy)):
+        raise ValueError("band energy overflows a float: hopping or mass too large")
+    if np.any(energy == 0):
+        raise DegenerateRibbon(f"both bands have zero energy at k index "
+                               f"{int(np.argmax(energy == 0))} (hopping and mass both 0)")
+    return np.arccos(np.clip(mass / energy, -1.0, 1.0)), -np.angle(f), energy
 
 
 def honeycomb_phasor_sum(kx, ky, bond: float = 1.0) -> np.ndarray:

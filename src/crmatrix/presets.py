@@ -6,10 +6,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateRibbon
-from .model import (BlochField, LatticeSpec, PumpFamily, TwoBandAngles, _eigen_decompose,
-                    build_kgrid, honeycomb_phasor_sum, pump_lambdas, two_band_columns,
-                    two_band_field)
+from .model import (BlochField, LatticeSpec, PumpFamily, _eigen_decompose, build_kgrid,
+                    graphene_phases, pump_lambdas, two_band_field)
 
 #: K point of the honeycomb model in the (kx, ky) convention used here,
 #: for bond length 1: the phasor sum vanishes there.
@@ -35,16 +33,14 @@ def generic_two_band(spec: LatticeSpec, theta0: float = 1.1, theta_amp: float = 
     field supports rates and spectra; column 0 is the upper band.
     """
     a = spec.lattice_constant
-    angles = TwoBandAngles(
-        theta=lambda k: theta0 + theta_amp * np.cos(k * a + theta_phase),
-        phi=lambda k: winding * k * a + phi_amp * np.sin(k * a + phi_phase),
-        dtheta=lambda k: -theta_amp * a * np.sin(k * a + theta_phase),
-        dphi=lambda k: winding * a + phi_amp * a * np.cos(k * a + phi_phase),
-    )
     grid = build_kgrid(spec)
-    eps = gap / 2.0 + bandwidth * np.cos(grid.points * a)
-    energies = np.column_stack([eps, -eps])
-    return two_band_field(angles, grid, energies=energies)
+    k = grid.points
+    eps = gap / 2.0 + bandwidth * np.cos(k * a)
+    return two_band_field(grid, theta=theta0 + theta_amp * np.cos(k * a + theta_phase),
+                          phi=winding * k * a + phi_amp * np.sin(k * a + phi_phase),
+                          dtheta=-theta_amp * a * np.sin(k * a + theta_phase),
+                          dphi=winding * a + phi_amp * a * np.cos(k * a + phi_phase),
+                          energies=np.column_stack([eps, -eps]))
 
 
 def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
@@ -56,32 +52,19 @@ def graphene_loop(spec: LatticeSpec, bond: float = 1.0, radius: float = 0.8,
     sublattice-symmetric model with theta identically pi/2; a nonzero
     sublattice mass opens a gap, makes theta k-dependent, and is what
     gives the loop a nonvanishing shift current.  Column 0 is the upper
-    band; energies are attached.  A loop through a band-touching point
-    (e.g. radius 0), or zero hopping and zero mass, raises
-    :class:`DegenerateRibbon`; a band energy beyond the float range raises
-    OverflowError (from ``mass``) or ValueError.
+    band; energies are attached.  The errors are those of
+    :func:`~crmatrix.model.graphene_phases` on the loop (a band-touching
+    point, e.g. radius 0, or zero hopping and mass, is degenerate) and of
+    :func:`~crmatrix.model.two_band_field`.
     """
     if not bond > 0:
         raise ValueError("bond length must be > 0")
     grid = build_kgrid(spec)
-    n = grid.n
-    t_angle = 2.0 * np.pi * np.arange(n) / n
-    kx = DIRAC_POINT[0] / bond + radius * np.cos(t_angle)
-    ky = DIRAC_POINT[1] / bond + radius * np.sin(t_angle)
-    f = honeycomb_phasor_sum(kx, ky, bond)
-    if np.any(np.abs(f) < 1e-12):
-        raise DegenerateRibbon("loop passes through the band-touching point")
-    with np.errstate(over="ignore"):
-        energy = np.sqrt(mass ** 2 + (hopping * np.abs(f)) ** 2)
-    if not np.all(np.isfinite(energy)):
-        raise ValueError("band energy overflows a float: hopping or mass too large")
-    if np.any(energy == 0):
-        raise DegenerateRibbon(f"both bands have zero energy at k index "
-                               f"{int(np.argmax(energy == 0))} (hopping and mass both 0)")
-    theta = np.arccos(np.clip(mass / energy, -1.0, 1.0))
-    coeffs = two_band_columns(theta, -np.angle(f))
-    energies = np.column_stack([energy, -energy])
-    return BlochField(grid=grid, coeffs=coeffs, energies=energies)
+    t_angle = 2.0 * np.pi * np.arange(grid.n) / grid.n
+    theta, phi, energy = graphene_phases(DIRAC_POINT[0] / bond + radius * np.cos(t_angle),
+                                         DIRAC_POINT[1] / bond + radius * np.sin(t_angle),
+                                         bond, hopping, mass)
+    return two_band_field(grid, theta, phi, energies=np.column_stack([energy, -energy]))
 
 
 def qwz_hamiltonian(mu: float):

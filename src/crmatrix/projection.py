@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BlochField, KGrid, LatticeSpec
+from .model import ROW_BLOCK, BlochField, KGrid, LatticeSpec
 
 
 def band_factor(field: BlochField, band: int, kindex: int) -> np.ndarray:
@@ -93,20 +93,26 @@ def wannier_coefficient(field: BlochField, band: int, kindex: int,
 
 def wannier_inverse(field: BlochField, band: int, orbital: int) -> np.ndarray:
     """Recover a_i^{(n)}(k_p) for all p from the Wannier coefficients:
-    (1/N) sum_j w(i, j) e^{+i k_p R_j}."""
+    (1/N) sum_j w(i, j) e^{+i k_p R_j}, ``ROW_BLOCK`` momenta at a time,
+    so the working set is O(ROW_BLOCK * N)."""
     spec = field.grid.spec
     for label, index in (("band", band), ("orbital", orbital)):
         if not 0 <= index < field.n_bands:
             raise IndexError(f"{label} {index} out of range 0..{field.n_bands - 1}")
-    k = field.grid.points[:, None]
-    amp = field.coeffs[:, orbital, band][:, None]
-    phase = np.exp((-1j * k) * spec.sites[None, :])
-    inverse = np.exp((1j * k) * spec.sites[None, :])
-    # w(p, j) equal to wannier_coefficient's bit for bit: numpy's vectorised
-    # complex multiply rounds unlike its scalar one and by operand order, so
-    # w is formed in real arithmetic and ``inverse`` is named (an unnamed
-    # temporary is multiplied in place with the operands swapped)
-    w = np.empty_like(phase)
-    w.real = amp.real * phase.real - amp.imag * phase.imag
-    w.imag = amp.real * phase.imag + amp.imag * phase.real
-    return np.sum(w * inverse, axis=1) / spec.n_cells
+    sites = spec.sites[None, :]
+    out = np.empty(field.n_k, dtype=complex)
+    for start in range(0, field.n_k, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        k = field.grid.points[rows, None]
+        amp = field.coeffs[rows, orbital, band][:, None]
+        phase = np.exp((-1j * k) * sites)
+        inverse = np.exp((1j * k) * sites)
+        # w(p, j) equal to wannier_coefficient's bit for bit: numpy's vectorised
+        # complex multiply rounds unlike its scalar one and by operand order, so
+        # w is formed in real arithmetic and ``inverse`` is named (an unnamed
+        # temporary is multiplied in place with the operands swapped)
+        w = np.empty_like(phase)
+        w.real = amp.real * phase.real - amp.imag * phase.imag
+        w.imag = amp.real * phase.imag + amp.imag * phase.real
+        out[rows] = np.sum(w * inverse, axis=1)
+    return out / spec.n_cells

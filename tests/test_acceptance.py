@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from crmatrix import (BlochField, ConnectionField, DriveSpec, LatticeSpec,
-                      OccupationSpec, TwoBandAngles, apply_gauge_to_field,
+                      OccupationSpec, apply_gauge_to_field,
                       berry_connection, berry_phase, build_kgrid,
                       chern_number, curvature_substitution_check, diagonal_loop,
                       diagonal_value, embedded_gram, gauge_transform,
@@ -26,7 +26,7 @@ from crmatrix.divergence import (FROM_ORIGIN, SampledCellFunction,
 from crmatrix.presets import (generic_two_band, graphene_loop, identity_field,
                               qwz_pump)
 
-from conftest import smooth_angles, smooth_field
+from conftest import on_grid, smooth_angles, smooth_field
 
 
 def report(num, label, ok, detail):
@@ -50,11 +50,11 @@ def test_criterion_01_isomorphism_gram():
 
 def test_criterion_02_closed_form_overlaps():
     t0 = time.perf_counter()
-    angles = smooth_angles(seed=7)
     spec = LatticeSpec(n_cells=64, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    f = two_band_field(angles, grid)
-    th, ph = angles.theta(grid.points), angles.phi(grid.points)
+    angles = on_grid(smooth_angles(seed=7), grid)
+    f = two_band_field(grid, *angles)
+    th, ph = angles[:2]
     crm = position_matrix(f)
     s = position_phase_sum(grid)
     rng = np.random.default_rng(0)
@@ -77,10 +77,8 @@ def test_criterion_03_connection_closed_forms_and_convergence():
     angles = smooth_angles(seed=8)
     spec = LatticeSpec(n_cells=128, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    f = two_band_field(angles, grid)
-    k = grid.points
-    th, dth = angles.theta(k), angles.dtheta(k)
-    ph, dph = angles.phi(k), angles.dphi(k)
+    th, ph, dth, dph = on_grid(angles, grid)
+    f = two_band_field(grid, th, ph, dth, dph)
     a = berry_connection(f).values
     off = -0.5j * np.exp(-1j * ph) * dth - 0.5 * np.sin(th) * np.exp(-1j * ph) * dph
     err_off = np.max(np.abs(a[:, 0, 1] - off))
@@ -90,7 +88,7 @@ def test_criterion_03_connection_closed_forms_and_convergence():
     for n in (128, 256):
         s = LatticeSpec(n_cells=n, lattice_constant=1.0, n_bands=2)
         g = build_kgrid(s)
-        fa = two_band_field(angles, g)
+        fa = two_band_field(g, *on_grid(angles, g))
         ffd = BlochField(grid=g, coeffs=fa.coeffs)
         fd_err[n] = np.max(np.abs(berry_connection(fa).values
                                   - berry_connection(ffd).values))
@@ -249,9 +247,8 @@ def test_criterion_09_transport_suite():
     gauge_ok = worst / peak < 1e-8
 
     grid = build_kgrid(LatticeSpec(n_cells=128, lattice_constant=1.0, n_bands=2))
-    real_field = two_band_field(
-        TwoBandAngles(theta=lambda k: 1.2 + 0.5 * np.sin(k), phi=lambda k: 0.0 * k),
-        grid, energies=np.column_stack([np.ones(128), -np.ones(128)]))
+    real_field = two_band_field(grid, 1.2 + 0.5 * np.sin(grid.points), 0.0 * grid.points,
+                                energies=np.column_stack([np.ones(128), -np.ones(128)]))
     real_res = shift_current_spectrum(real_field, occ, drv)
     real_zero = bool(np.all(real_res.currents == 0.0))
     elapsed = time.perf_counter() - t0

@@ -507,12 +507,14 @@ def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, l
     ({"hamiltonian": [["0/k", "1"], ["1", "0"]]}, {}, "model.hamiltonian"),
     ({"hamiltonian": [["1", "0"], ["0", "sqrt(k-1)"]]}, {}, "model.hamiltonian"),
     ({"angles": {"theta": "1.1", "phi": "j*k"}}, {}, "model.angles.phi"),
+    ({"angles": {"theta": "1.1", "phi": "k", "dtheta": "0*k", "dphi": "0/k"}}, {},
+     "model.angles: angle derivatives produced non-finite values"),
     (None, {"seed": -1}, "seed"),
 ], ids=["hamiltonian-overflow", "hamiltonian-zero-over-zero", "hamiltonian-sqrt-negative",
-        "complex-angle", "negative-seed"])
+        "complex-angle", "nan-angle-derivative", "negative-seed"])
 def test_bad_model_values_exit_2_naming_key(tmp_path, capsys, model, top, key):
-    """Non-finite Hamiltonian entries, complex angles and negative seeds are
-    config errors, found before any output is written."""
+    """Non-finite Hamiltonian entries and angle derivatives, complex angles
+    and negative seeds are config errors, found before any output is written."""
     out = tmp_path / "out"
     cfg = {**base_config("gauge-audit", out, model=model, seeds=2), **top}
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crmatrix import (BlochField, InvarianceReport, LatticeSpec, TwoBandAngles,
+from crmatrix import (BlochField, InvarianceReport, LatticeSpec,
                       ZeroOverlap, apply_gauge_to_field, berry_connection,
                       berry_phase, build_kgrid, central_difference,
                       curvature_substitution_check, diagonal_loop,
@@ -218,9 +218,7 @@ def test_berry_phase_reshuffle_invariant():
 def test_berry_phase_unit_winding():
     spec = LatticeSpec(n_cells=512, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    angles = TwoBandAngles(theta=lambda k: np.full_like(k, np.pi / 2),
-                           phi=lambda k: k)
-    f = two_band_field(angles, grid)
+    f = two_band_field(grid, np.full_like(grid.points, np.pi / 2), grid.points)
     th = berry_phase(f, 0)
     assert abs(abs(th) - np.pi) < 1e-3   # -pi mod 2pi
     # independent Riemann-sum oracle of -(1/2) * loop of dphi

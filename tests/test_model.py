@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crmatrix import (DegenerateRibbon, LatticeSpec, TwoBandAngles, build_kgrid,
+from crmatrix import (DegenerateRibbon, LatticeSpec, build_kgrid,
                       eigenfield_from_hamiltonian, eigenfield_from_stack, fix_phase_gauge,
                       graphene_phases, honeycomb_phasor_sum, pump_family_from_angles,
                       pump_family_from_hamiltonian, pump_family_from_stack, two_band_field)
 from crmatrix.model import _two_band_eigh, stack_unitarity_defect, two_band_columns
-from crmatrix.presets import qwz_hamiltonian, qwz_pump
+from crmatrix.presets import DIRAC_POINT, graphene_loop, qwz_hamiltonian, qwz_pump
 from crmatrix.rmatrix import central_difference, link_overlaps
 
 from conftest import smooth_field
@@ -47,17 +47,14 @@ def test_kgrid_invariants():
 def test_two_band_identity_case():
     spec = LatticeSpec(n_cells=8, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    angles = TwoBandAngles(theta=lambda k: 0.0 * k, phi=lambda k: 0.0 * k)
-    f = two_band_field(angles, grid)
+    f = two_band_field(grid, 0.0 * grid.points, 0.0 * grid.points)
     assert np.allclose(f.coeffs, np.eye(2), atol=1e-15)
 
 
 def test_two_band_equator_moduli():
     spec = LatticeSpec(n_cells=16, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    angles = TwoBandAngles(theta=lambda k: np.full_like(k, np.pi / 2),
-                           phi=lambda k: 1.3 * np.sin(k))
-    f = two_band_field(angles, grid)
+    f = two_band_field(grid, np.full_like(grid.points, np.pi / 2), 1.3 * np.sin(grid.points))
     assert np.allclose(np.abs(f.coeffs[:, 0, 0]), 1 / np.sqrt(2), atol=1e-15)
     assert np.allclose(np.abs(f.coeffs[:, 1, 0]), 1 / np.sqrt(2), atol=1e-15)
 
@@ -65,9 +62,8 @@ def test_two_band_equator_moduli():
 def test_two_band_columns_orthonormal():
     spec = LatticeSpec(n_cells=8, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    angles = TwoBandAngles(theta=lambda k: np.full_like(k, np.pi / 3),
-                           phi=lambda k: np.full_like(k, np.pi / 4))
-    f = two_band_field(angles, grid)
+    f = two_band_field(grid, np.full_like(grid.points, np.pi / 3),
+                       np.full_like(grid.points, np.pi / 4))
     for p in range(8):
         c = f.coeffs[p]
         assert abs(np.vdot(c[:, 0], c[:, 1])) < 1e-15
@@ -79,9 +75,14 @@ def test_two_band_rejects_bad_angles():
     spec = LatticeSpec(n_cells=8, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
     with pytest.raises(ValueError):
-        two_band_field(TwoBandAngles(theta=lambda k: k * np.nan, phi=lambda k: k), grid)
+        two_band_field(grid, grid.points * np.nan, grid.points)
     with pytest.raises(ValueError):
-        two_band_field(TwoBandAngles(theta=lambda k: 4.0 + 0 * k, phi=lambda k: k), grid)
+        two_band_field(grid, 4.0 + 0 * grid.points, grid.points)
+    with pytest.raises(ValueError, match="angle arrays of shapes"):
+        two_band_field(grid, np.full(16, 1.0), np.zeros(16))
+    with pytest.raises(ValueError, match="derivatives produced non-finite"):
+        two_band_field(grid, 1.0 + 0 * grid.points, grid.points, 0 * grid.points,
+                       grid.points + np.nan)
 
 
 @pytest.mark.parametrize("theta, phi, message", [
@@ -110,22 +111,36 @@ def test_analytic_derivatives_match_finite_differences():
 
 
 def test_graphene_phases_zero_momentum():
-    theta, phi = graphene_phases(0.0, 0.0, bond=1.0)
+    theta, phi, _ = graphene_phases(0.0, 0.0, bond=1.0)
     assert theta == pytest.approx(np.pi / 2)
     assert phi == pytest.approx(0.0)
 
 
 def test_graphene_phases_band_touching_error():
     ky = 4 * np.pi / (3 * np.sqrt(3))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(DegenerateRibbon):
         graphene_phases(0.0, ky, bond=1.0)
+
+
+def test_graphene_phases_at_the_dirac_point_is_degenerate():
+    with pytest.raises(DegenerateRibbon, match="k index 0"):
+        graphene_phases(*DIRAC_POINT)
+    # the message names the first touching point of an array
+    kx, ky = np.array([0.0, 0.3, DIRAC_POINT[0]]), np.array([0.0, 0.2, DIRAC_POINT[1]])
+    with pytest.raises(DegenerateRibbon, match="k index 2"):
+        graphene_phases(kx, ky)
+
+
+def test_graphene_loop_requires_a_two_band_spec():
+    with pytest.raises(ValueError, match="2-band"):
+        graphene_loop(LatticeSpec(8, 1.0, 3))
 
 
 @pytest.mark.parametrize("radius", [0.05, 0.5])
 def test_graphene_winding_independent_of_radius(radius):
     ky0 = 4 * np.pi / (3 * np.sqrt(3))
     t = 2 * np.pi * np.arange(12) / 12
-    _, phi = graphene_phases(radius * np.cos(t), ky0 + radius * np.sin(t))
+    _, phi, _ = graphene_phases(radius * np.cos(t), ky0 + radius * np.sin(t))
     inc = np.angle(np.exp(1j * np.diff(np.append(phi, phi[0]))))
     assert np.sum(inc) / (2 * np.pi) == pytest.approx(-1.0, abs=1e-9)
 

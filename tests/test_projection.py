@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from crmatrix import (LatticeSpec, TwoBandAngles, band_factor, build_kgrid,
+from crmatrix import (LatticeSpec, band_factor, build_kgrid,
                       eigenfield_from_hamiltonian, embedded_gram, kron_embed,
                       pair_inner_product, site_factor, site_factor_frame,
                       two_band_field, wannier_coefficient, wannier_inverse)
+from crmatrix.model import ROW_BLOCK
 from crmatrix.presets import identity_field
 
 from conftest import smooth_field
@@ -31,8 +34,8 @@ def test_band_factor_equator_example():
     # theta = pi/2 and phi = pi: column 0 becomes (1, -1)/sqrt(2)
     spec = LatticeSpec(n_cells=4, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    f = two_band_field(TwoBandAngles(theta=lambda k: np.full_like(k, np.pi / 2),
-                                     phi=lambda k: np.full_like(k, np.pi)), grid)
+    f = two_band_field(grid, np.full_like(grid.points, np.pi / 2),
+                       np.full_like(grid.points, np.pi))
     v = band_factor(f, 0, 1)
     assert np.allclose(v, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-15)
 
@@ -173,3 +176,27 @@ def test_vectorised_helpers_equal_their_factor_loops():
         assert np.array_equal(wannier_inverse(f, band, orbital), want)
     with pytest.raises(IndexError):
         wannier_inverse(f, 3, 0)
+
+
+def test_wannier_inverse_blocks_equal_the_factor_loop():
+    # momenta on both sides of each ROW_BLOCK edge, bit for bit
+    f = random_field(n_cells=2 * ROW_BLOCK + 5, n_bands=2, seed=6)
+    spec, nk = f.grid.spec, f.n_k
+    got = wannier_inverse(f, 1, 0)
+    for p in (0, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK, nk - 1):
+        w = np.array([wannier_coefficient(f, 1, p, 0, j) for j in range(nk)])
+        assert got[p] == np.sum(w * np.exp(1j * f.grid.points[p] * spec.sites)) / nk
+
+
+def test_wannier_inverse_working_set_is_row_blocked():
+    """At N = 1024 the four N x N complex arrays of an unblocked inverse
+    would take 64 MiB; ROW_BLOCK rows at a time take about 5 MiB."""
+    f = smooth_field(n_cells=1024, seed=4)
+    tracemalloc.start()
+    try:
+        got = wannier_inverse(f, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert np.max(np.abs(got - f.coeffs[:, 0, 1])) < 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crmatrix import (BlochField, LatticeSpec, NonHermitianInput, TwoBandAngles,
+from crmatrix import (BlochField, LatticeSpec, NonHermitianInput,
                       berry_connection, build_kgrid,
                       crystal_momentum_matrix, position_matrix,
                       position_momentum_commutator, position_phase_sum,
@@ -12,7 +12,7 @@ from crmatrix import (BlochField, LatticeSpec, NonHermitianInput, TwoBandAngles,
                       two_band_field)
 from crmatrix.presets import identity_field
 
-from conftest import smooth_angles, smooth_field
+from conftest import on_grid, smooth_angles, smooth_field
 
 
 def closed_form_overlaps(th, ph, p, q):
@@ -24,11 +24,11 @@ def closed_form_overlaps(th, ph, p, q):
 
 
 def test_band_overlap_closed_forms():
-    angles = smooth_angles(seed=12)
     spec = LatticeSpec(n_cells=64, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    f = two_band_field(angles, grid)
-    th, ph = angles.theta(grid.points), angles.phi(grid.points)
+    angles = on_grid(smooth_angles(seed=12), grid)
+    f = two_band_field(grid, *angles)
+    th, ph = angles[:2]
     crm = position_matrix(f)
     s = position_phase_sum(grid)
     rng = np.random.default_rng(2)
@@ -51,13 +51,10 @@ def test_connection_constant_field_vanishes():
 
 
 def test_connection_analytic_closed_forms():
-    angles = smooth_angles(seed=1)
     spec = LatticeSpec(n_cells=64, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    f = two_band_field(angles, grid)
-    k = grid.points
-    th, ph = angles.theta(k), angles.phi(k)
-    dth, dph = angles.dtheta(k), angles.dphi(k)
+    th, ph, dth, dph = on_grid(smooth_angles(seed=1), grid)
+    f = two_band_field(grid, th, ph, dth, dph)
     a = berry_connection(f).values
     # diagonal from direct differentiation of the columns
     assert np.max(np.abs(a[:, 0, 0] - (-np.sin(th / 2) ** 2 * dph))) < 1e-12
@@ -75,10 +72,9 @@ def conn_is_hermitian(a, tol=1e-10):
 def test_connection_finite_difference_converges_quadratically():
     errs = {}
     for n in (64, 128):
-        angles = smooth_angles(seed=6)
         spec = LatticeSpec(n_cells=n, lattice_constant=1.0, n_bands=2)
         grid = build_kgrid(spec)
-        fa = two_band_field(angles, grid)
+        fa = two_band_field(grid, *on_grid(smooth_angles(seed=6), grid))
         ffd = BlochField(grid=grid, coeffs=fa.coeffs)  # drop analytic derivatives
         errs[n] = np.max(np.abs(berry_connection(fa).values - berry_connection(ffd).values))
     assert errs[64] / errs[128] >= 3.5
@@ -121,10 +117,8 @@ def test_reduced_minus_connection_is_mass_center():
 def test_reduced_equator_diagonal():
     spec = LatticeSpec(n_cells=32, lattice_constant=1.0, n_bands=2)
     grid = build_kgrid(spec)
-    angles = TwoBandAngles(theta=lambda k: np.full_like(k, np.pi / 2),
-                           phi=lambda k: k, dtheta=lambda k: 0.0 * k,
-                           dphi=lambda k: np.ones_like(k))
-    f = two_band_field(angles, grid)
+    k = grid.points
+    f = two_band_field(grid, np.full_like(k, np.pi / 2), k, 0.0 * k, np.ones_like(k))
     r = reduced_position_matrix(f).values
     assert np.max(np.abs(r[:, 0, 0] - (-0.5 + spec.rbar))) < 1e-12
 
@@ -238,8 +232,8 @@ def mixed_field(n_bands, n_cells, a, origin, analytic):
     rotation.  ``analytic=False`` drops the derivatives."""
     spec = LatticeSpec(n_cells=n_cells, lattice_constant=a, n_bands=n_bands, origin=origin)
     grid = build_kgrid(spec)
-    two = two_band_field(smooth_angles(seed=9, a=a),
-                         build_kgrid(LatticeSpec(n_cells=n_cells, lattice_constant=a, n_bands=2)))
+    two_grid = build_kgrid(LatticeSpec(n_cells=n_cells, lattice_constant=a, n_bands=2))
+    two = two_band_field(two_grid, *on_grid(smooth_angles(seed=9, a=a), two_grid))
     coeffs = np.zeros((n_cells, n_bands, n_bands), dtype=complex)
     dcoeffs = np.zeros_like(coeffs)
     coeffs[:, :2, :2], dcoeffs[:, :2, :2] = two.coeffs, two.dcoeffs

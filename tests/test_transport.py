@@ -5,7 +5,7 @@ import pytest
 
 from crmatrix import gauge, transport
 from crmatrix import (BlochField, BranchTrackingError, ConnectionField, DriveSpec,
-                      LatticeSpec, OccupationSpec, TwoBandAngles, UnderResolvedGrid,
+                      LatticeSpec, OccupationSpec, UnderResolvedGrid,
                       ZeroOverlap, berry_phase, build_kgrid, chern_number,
                       eigenfield_from_hamiltonian, gauge_audit, gauge_transform,
                       link_overlaps,
@@ -68,8 +68,7 @@ def test_shift_vector_constant_under_global_reshuffles():
     # ingredient bit-identical up to rounding
     spec = LatticeSpec(64, 1.0, 2)
     grid = build_kgrid(spec)
-    f = two_band_field(TwoBandAngles(theta=lambda k: np.full_like(k, 1.0),
-                                     phi=lambda k: k), grid)
+    f = two_band_field(grid, np.full_like(grid.points, 1.0), grid.points)
     base, defined = shift_vector_field(f, 0, 1)
     assert np.all(defined)
     conn = reduced_position_matrix(f)
@@ -89,10 +88,8 @@ def test_shift_vector_real_family_vanishes():
     # phi = 0 everywhere: off-diagonal phase locked, diagonals equal
     spec = LatticeSpec(128, 1.0, 2)
     grid = build_kgrid(spec)
-    f = two_band_field(TwoBandAngles(theta=lambda k: 1.2 + 0.5 * np.sin(k),
-                                     phi=lambda k: 0.0 * k,
-                                     dtheta=lambda k: 0.5 * np.cos(k),
-                                     dphi=lambda k: 0.0 * k), grid)
+    k = grid.points
+    f = two_band_field(grid, 1.2 + 0.5 * np.sin(k), 0.0 * k, 0.5 * np.cos(k), 0.0 * k)
     values, defined = shift_vector_field(f, 0, 1)
     assert np.sum(~defined) > 0  # the theta' sign changes are excluded
     assert np.max(np.abs(values[defined])) == 0.0
@@ -109,8 +106,7 @@ def test_shift_vector_antisymmetric():
 def test_shift_vector_undefined_point_is_masked():
     spec = LatticeSpec(64, 1.0, 2)
     grid = build_kgrid(spec)
-    f = two_band_field(TwoBandAngles(theta=lambda k: 1.2 + 0.5 * np.sin(k),
-                                     phi=lambda k: 0.0 * k), grid)
+    f = two_band_field(grid, 1.2 + 0.5 * np.sin(grid.points), 0.0 * grid.points)
     values, defined = shift_vector_field(f, 0, 1)
     assert not defined.all() and defined.any()
     assert np.all(np.isnan(values[~defined]))
@@ -175,8 +171,7 @@ def test_spectrum_real_family_identically_zero():
     spec = LatticeSpec(128, 1.0, 2)
     grid = build_kgrid(spec)
     energies = np.column_stack([np.ones(128), -np.ones(128)])
-    f = two_band_field(TwoBandAngles(theta=lambda k: 1.2 + 0.5 * np.sin(k),
-                                     phi=lambda k: 0.0 * k), grid,
+    f = two_band_field(grid, 1.2 + 0.5 * np.sin(grid.points), 0.0 * grid.points,
                        energies=energies)
     res = shift_current_spectrum(f, OCC, drive(1.5, 2.5, 41))
     assert np.all(res.currents == 0.0)
