@@ -240,6 +240,11 @@ def load_config(path: Path) -> Context:
     if "angles" in model:
         _check_keys(model["angles"], "model.angles",
                     {"theta": True, "phi": True, "dtheta": False, "dphi": False})
+        # analytic derivatives replace both central differences or neither
+        for given, needed in (("dtheta", "dphi"), ("dphi", "dtheta")):
+            if given in model["angles"] and needed not in model["angles"]:
+                raise ConfigError(f"missing key model.angles.{needed}: "
+                                  f"model.angles.{given} needs it")
     if "preset" in model and (not isinstance(model["preset"], str)
                               or model["preset"] not in presets.PRESETS):
         raise ConfigError(f"model.preset must be one of {sorted(presets.PRESETS)}")
@@ -316,8 +321,9 @@ def _task_crm(ctx: Context):
 
 def _task_connection(ctx: Context):
     field = ctx.field()
-    return ({"connection.csv": _complex_table(berry_connection(field).values, "p", "m", "n"),
-             "reduced_r.csv": _complex_table(reduced_position_matrix(field).values,
+    conn = berry_connection(field)
+    return ({"connection.csv": _complex_table(conn.values, "p", "m", "n"),
+             "reduced_r.csv": _complex_table(reduced_position_matrix(field, conn).values,
                                              "p", "m", "n")},
             {})
 

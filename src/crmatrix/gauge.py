@@ -86,45 +86,90 @@ def _mode_table(grid: KGrid, modes: int) -> tuple:
 
 
 def _fourier_series(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray, table: tuple,
-                    grid: KGrid, kderiv: bool = False) -> np.ndarray:
-    """The generator H(k_p) of stacked coefficients on the grid, or with
-    ``kderiv`` its analytic k-derivative, from the :func:`_mode_table` of
-    the grid.  The arithmetic is elementwise, so a slice of the
-    coefficients gives that slice of H."""
+                    grid: KGrid, kderiv: bool = False, dtype=complex) -> np.ndarray:
+    """The generator of stacked (modes + 1, *shape) coefficients on the
+    grid, or with ``kderiv`` its analytic k-derivative, from the
+    :func:`_mode_table` of the grid, shaped (*shape, N): the grid axis is
+    last, so each product runs along it.  The arithmetic is elementwise, so
+    a slice of the coefficients gives that slice of H, and real
+    coefficients summed in ``dtype=float`` give the bits of the real part
+    of the complex series."""
     a = grid.spec.lattice_constant
     cos_table, sin_table = table
-    at_p = (slice(None),) + (None,) * (cos_coeffs.ndim - 1)
-    out = np.zeros((grid.n,) + cos_coeffs.shape[1:], dtype=complex)
+    out = np.zeros(cos_coeffs.shape[1:] + (grid.n,), dtype=dtype)
     if not kderiv:
-        out += cos_coeffs[0]
+        out += cos_coeffs[0][..., None]
     for s in range(1, len(cos_coeffs)):
-        cos_s, sin_s = cos_table[s - 1][at_p], sin_table[s - 1][at_p]
+        cos_s, sin_s = cos_table[s - 1], sin_table[s - 1]
+        cos_c, sin_c = cos_coeffs[s][..., None], sin_coeffs[s][..., None]
         if kderiv:
-            out += (s * a) * (-sin_s * cos_coeffs[s] + cos_s * sin_coeffs[s])
+            out += (s * a) * (-sin_s * cos_c + cos_s * sin_c)
         else:
-            out += cos_s * cos_coeffs[s] + sin_s * sin_coeffs[s]
+            out += cos_s * cos_c + sin_s * sin_c
     return out
+
+
+def _generator(coeffs: np.ndarray, table: tuple, grid: KGrid,
+               kderiv: bool = False) -> np.ndarray:
+    """The (N, NB, NB) stack H(k_p), or its k-derivative, of stacked
+    (2, modes + 1, NB, NB) coefficients, by :func:`_fourier_series`."""
+    return np.ascontiguousarray(np.moveaxis(_fourier_series(*coeffs, table, grid, kderiv),
+                                            -1, 0))
+
+
+def _two_band_generator(coeffs: np.ndarray, table: tuple, grid: KGrid,
+                        kderiv: bool = False) -> tuple:
+    """(h00, h11, h01) of a U(2) generator H(k_p) on the grid, or with
+    ``kderiv`` of its k-derivative: the four real components h00, h11,
+    Re h01 and Im h01 of the stacked (2, modes + 1, 2, 2) coefficients are
+    summed by :func:`_fourier_series` in floats, with the bits of
+    :func:`_generator` at a quarter of its work."""
+    parts = np.stack([coeffs[..., 0, 0].real, coeffs[..., 1, 1].real,
+                      coeffs[..., 0, 1].real, coeffs[..., 0, 1].imag], axis=-1)
+    h00, h11, re, im = _fourier_series(*parts, table, grid, kderiv, dtype=float)
+    return h00, h11, re + 1j * im
+
+
+def _su2_exp(h00: np.ndarray, h11: np.ndarray, h01: np.ndarray) -> tuple:
+    """exp(i H) of H = [[h00, h01], [conj h01, h11]] per point, as the entry
+    table ((u00, u01), (u10, u11)) of (N,) arrays, in SU(2) closed form:
+    with H = t I + b.sigma, exp(i H) = e^{i t} [cos|b| I + i (sin|b| / |b|)
+    (H - t I)], where sin|b| / |b| is taken as 1 at b = 0."""
+    t = (h00 + h11) / 2.0
+    b = np.hypot((h00 - h11) / 2.0, np.abs(h01))
+    sinc = np.divide(np.sin(b), b, out=np.ones_like(b), where=b != 0.0)
+    phase = np.exp(1j * t)
+    c, s = phase * np.cos(b), phase * (1j * sinc)
+    return (c + s * (h00 - t), s * h01), (s * h01.conj(), c + s * (h11 - t))
+
+
+def _entries(stack: np.ndarray) -> tuple:
+    """The entry table ((x00, x01), (x10, x11)) of an (N, 2, 2) stack, each
+    entry a contiguous (N,) array."""
+    return tuple(tuple(np.ascontiguousarray(stack[:, m, n]) for n in range(2))
+                 for m in range(2))
+
+
+def _stack(entries: tuple) -> np.ndarray:
+    """The (N, 2, 2) stack of a 2x2 entry table."""
+    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+
+
+def _two_band_similarity(u: tuple, m: tuple, pairs) -> list:
+    """The entries (r, c) in ``pairs`` of U M U^dag, for U and M given as
+    2x2 entry tables, from explicit products: V = U M, then
+    (U M U^dag)_rc = V_r0 conj(U_c0) + V_r1 conj(U_c1)."""
+    v = [[u[r][0] * m[0][j] + u[r][1] * m[1][j] for j in range(2)] for r in range(2)]
+    uc = [[x.conj() for x in row] for row in u]
+    return [v[r][0] * uc[c][0] + v[r][1] * uc[c][1] for r, c in pairs]
 
 
 def _exp_i(generator: np.ndarray) -> np.ndarray:
-    """exp(i H) of a Hermitian (N, NB, NB) stack.
-
-    NB = 2 takes the SU(2) closed form: with H = t I + b.sigma,
-    exp(i H) = e^{i t} [cos|b| I + i (sin|b| / |b|)(H - t I)], where
-    sin|b| / |b| is taken as 1 at b = 0.  Every other NB takes one stacked
-    eigh, exp(i H) = V e^{i w} V^dag.
-    """
-    if generator.shape[-1] != 2:
-        w, v = np.linalg.eigh(generator)
-        return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
-    h00, h11 = generator[:, 0, 0].real, generator[:, 1, 1].real
-    t = (h00 + h11) / 2.0
-    b = np.hypot((h00 - h11) / 2.0, np.abs(generator[:, 0, 1]))
-    sinc = np.divide(np.sin(b), b, out=np.ones_like(b), where=b != 0.0)
-    phase = np.exp(1j * t)
-    out = (1j * phase * sinc)[:, None, None] * (generator - t[:, None, None] * np.eye(2))
-    out += (phase * np.cos(b))[:, None, None] * np.eye(2)
-    return out
+    """exp(i H) of a Hermitian (N, NB, NB) stack by one stacked eigh,
+    V e^{i w} V^dag: the U(NB) exponential off NB = 2, where
+    :func:`_su2_exp` takes the closed form."""
+    w, v = np.linalg.eigh(generator)
+    return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -135,31 +180,47 @@ def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
     modes=0 gives a k-independent unitary.  ``diagonal=True`` restricts
     every Fourier coefficient to a real diagonal matrix, producing a
     U(1)^NB phase field, exp(i H) entry by entry; otherwise U = exp(i H)
-    is taken by :func:`_exp_i`, in closed form for NB = 2 and by eigh for
-    any other NB.  Fixed seed means a bitwise reproducible field.  A value
-    that overflows (a huge ``scale``) raises FloatingPointError, as in
-    :func:`gauge_audit`.
+    is taken in closed form for NB = 2, from the real components of
+    :func:`_two_band_generator` as :func:`gauge_audit` takes it, and by
+    eigh for any other NB.  Fixed seed means a bitwise reproducible field.
+    A value that overflows (a huge ``scale``) raises FloatingPointError, as
+    in :func:`gauge_audit`.
     """
     coeffs = _fourier_coefficients(n_bands, modes, seed, scale, diagonal)
     table = _mode_table(grid, modes)
-    gen = _fourier_series(*coeffs, table, grid)
+    if n_bands == 2 and not diagonal:
+        h00, h11, h01 = _two_band_generator(coeffs, table, grid)
+        d00, d11, d01 = _two_band_generator(coeffs, table, grid, kderiv=True)
+        return GaugeField(grid=grid, unitaries=_stack(_su2_exp(h00, h11, h01)),
+                          generator=_stack(((h00, h01), (h01.conj(), h11))),
+                          generator_kderiv=_stack(((d00, d01), (d01.conj(), d11))),
+                          diagonal=False)
+    gen = _generator(coeffs, table, grid)
     if diagonal:
         unitaries, m = np.zeros_like(gen), np.arange(n_bands)
         unitaries[:, m, m] = np.exp(1j * gen[:, m, m])
     else:
         unitaries = _exp_i(gen)
     return GaugeField(grid=grid, unitaries=unitaries, generator=gen,
-                      generator_kderiv=_fourier_series(*coeffs, table, grid, kderiv=True),
+                      generator_kderiv=_generator(coeffs, table, grid, kderiv=True),
                       diagonal=diagonal)
 
 
 def similarity_transform(matrix_field: np.ndarray, gauge: GaugeField) -> np.ndarray:
-    """Per-k similarity transform U O U^dag (the associative-operator rule)."""
+    """Per-k similarity transform U O U^dag (the associative-operator rule).
+
+    A non-diagonal NB = 2 gauge takes the explicit 2x2 products of
+    :func:`_two_band_similarity`, as the U(NB) row of :func:`gauge_audit`
+    does; a diagonal gauge or any other NB takes one einsum."""
     vals = _values(matrix_field)
     u = gauge.unitaries
     if vals.shape != u.shape:
         raise ValueError(f"shape mismatch: field {vals.shape} vs gauge {u.shape}")
-    return np.einsum("pmi,pij,pnj->pmn", u, vals, u.conj())
+    if u.shape[-1] != 2 or gauge.diagonal:
+        return np.einsum("pmi,pij,pnj->pmn", u, vals, u.conj())
+    s00, s01, s10, s11 = _two_band_similarity(_entries(u), _entries(vals),
+                                              ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return _stack(((s00, s01), (s10, s11)))
 
 
 def gauge_inhomogeneous_term(gauge: GaugeField) -> np.ndarray:
@@ -303,9 +364,9 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     """Before/after rows of four functionals under ``seeds`` random gauges.
 
     Gauge seed ``seed + s`` draws a U(1)^NB field and ``seed + s + 10000`` a
-    U(NB) field U = exp(i H), as :func:`random_gauge_field` does (U by
-    :func:`_exp_i`: in SU(2) closed form for NB = 2, by eigh for any other
-    NB); the mode angle table is built once per call.  Each seed gives four
+    U(NB) field U = exp(i H), as :func:`random_gauge_field` does: for NB = 2
+    from the real components of H by :func:`_su2_exp`, by eigh for any other
+    NB; the mode angle table is built once per call.  Each seed gives four
     :class:`InvarianceReport` rows: ``diagonal_value`` (the connection's
     band entry at ``kindex``, moved by d_k xi by design; limit
     ``DIAGONAL_VALUE_TOL * a``), ``diagonal_loop`` and the re-gauged
@@ -314,11 +375,13 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
 
     Only what the rows read is computed: per seed the band column of xi,
     of the connection (u M_bb u* + d_k xi) and of the ribbon (times u*),
-    and the traced diagonal of U M U^dag plus d_k tr H, the exact trace of
-    U i d_k(U^dag).  The rows equal, bit for bit, those of whole-field
-    :func:`apply_gauge_to_field` and :func:`gauge_transform`
-    (:func:`similarity_transform` plus d_k tr H for the trace loop).  A
-    value that overflows (a huge ``scale``) raises FloatingPointError.
+    and the traced diagonal of U M U^dag (for NB = 2 from the explicit 2x2
+    products of :func:`_two_band_similarity`, otherwise one einsum) plus
+    d_k tr H, the exact trace of U i d_k(U^dag).  The rows equal, bit for
+    bit, those of whole-field :func:`apply_gauge_to_field` and
+    :func:`gauge_transform` (:func:`similarity_transform` plus d_k tr H for
+    the trace loop).  A value that overflows (a huge ``scale``) raises
+    FloatingPointError.
     """
     grid, nb, dk = field.grid, field.n_bands, field.grid.spacing
     conn = berry_connection(field).values
@@ -327,6 +390,7 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     before = (diagonal_value(conn, band, kindex), diagonal_loop(conn, band, grid),
               trace_loop(conn, grid), berry_phase(field, band))
     table = _mode_table(grid, modes)
+    conn_entries = _entries(conn) if nb == 2 else None
     reports = []
     for gauge_seed in range(seed, seed + seeds):
         coeffs = _fourier_coefficients(nb, modes, gauge_seed, scale, True)
@@ -334,11 +398,20 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
         u = np.exp(1j * xi)
         a_bb = np.einsum("p,p,p->p", u, conn[:, band, band], u.conj()) \
             + central_difference(xi, dk)
-        gen = _fourier_series(*_fourier_coefficients(nb, modes, gauge_seed + 10_000, scale,
-                                                     False), table, grid)
-        full = _exp_i(gen)
-        traced = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1) \
-            + central_difference(np.trace(gen, axis1=1, axis2=2), dk)
+        coeffs = _fourier_coefficients(nb, modes, gauge_seed + 10_000, scale, False)
+        if nb == 2:
+            h00, h11, h01 = _two_band_generator(coeffs, table, grid)
+            s00, s11 = _two_band_similarity(_su2_exp(h00, h11, h01), conn_entries,
+                                            ((0, 0), (1, 1)))
+            # tr H is differenced in complex, as the trace of the generator
+            # stack is: a complex divide rounds apart from a float one
+            traced, trace_h = s00 + s11, (h00 + h11).astype(complex)
+        else:
+            gen = _generator(coeffs, table, grid)
+            full = _exp_i(gen)
+            traced = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1)
+            trace_h = np.trace(gen, axis1=1, axis2=2)
+        traced = traced + central_difference(trace_h, dk)
         after = (complex(a_bb[kindex]), float(_loop_sum(a_bb, grid)),
                  float(_loop_sum(traced, grid)),
                  float(loop_phases(np.einsum("pl,p->pl", field.coeffs[:, :, band], u.conj()))))

@@ -73,9 +73,12 @@ def berry_connection(field: BlochField) -> ConnectionField:
     return ConnectionField(grid=field.grid, values=a, hermiticity_defect=defect)
 
 
-def reduced_position_matrix(field: BlochField) -> ConnectionField:
-    """Reduced position matrix r_{m,n}(k) = A_{m,n}(k) + delta_{m,n} Rbar."""
-    conn = berry_connection(field)
+def reduced_position_matrix(field: BlochField,
+                            connection: Optional[ConnectionField] = None) -> ConnectionField:
+    """Reduced position matrix r_{m,n}(k) = A_{m,n}(k) + delta_{m,n} Rbar;
+    ``connection`` is the field's :func:`berry_connection` when the caller
+    has already built it."""
+    conn = berry_connection(field) if connection is None else connection
     rbar = field.grid.spec.rbar
     vals = conn.values + rbar * np.eye(field.n_bands)[None, :, :]
     return ConnectionField(grid=field.grid, values=vals, hermiticity_defect=conn.hermiticity_defect)

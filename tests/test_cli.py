@@ -303,6 +303,32 @@ def test_csv_seventeen_digit_round_trip(tmp_path):
         assert float(row[4]) == conn.values[p, m, n].imag
 
 
+@pytest.mark.parametrize("model", [None, {"angles": {"theta": "1.1 + 0.3*cos(k*a)",
+                                                      "phi": "k*a"}}], ids=["preset", "angles"])
+def test_connection_task_builds_the_connection_once(tmp_path, monkeypatch, model):
+    """connection.csv and reduced_r.csv come from one berry_connection call,
+    and reduced_r.csv is that connection plus Rbar on the diagonal."""
+    from crmatrix import rmatrix
+    calls, build = [], rmatrix.berry_connection
+
+    def counted(field):
+        calls.append(field)
+        return build(field)
+
+    monkeypatch.setattr(rmatrix, "berry_connection", counted)
+    monkeypatch.setattr(cli, "berry_connection", counted)
+    out = tmp_path / "out"
+    cfg = base_config("connection", out, model=model,
+                      lattice={"N": 8, "a": 1.3, "n_bands": 2, "origin": 0.4})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert len(calls) == 1
+    conn = build(calls[0]).values + LatticeSpec(8, 1.3, 2, 0.4).rbar * np.eye(2)
+    rows = read_csv(out / "reduced_r.csv")[1:]
+    assert len(rows) == 8 * 4
+    for p, m, n, re, im in rows:
+        assert complex(float(re), float(im)) == conn[int(p), int(m), int(n)]
+
+
 def random_complex(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -430,6 +456,10 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
     ("berry-phase", None, {"band": 1, "bands": [0]}, {}, "task.params.bands"),
     ("incompleteness", CHAIN, {"n_max_list": []}, {}, "task.params.n_max_list"),
     ("berry-phase", None, {"bands": []}, {}, "task.params.bands"),
+    ("connection", {"angles": {"theta": "1.1", "phi": "k*a", "dtheta": "0*k"}}, {}, {},
+     "model.angles.dphi"),
+    ("connection", {"angles": {"theta": "1.1", "phi": "k*a", "dphi": "a + 0*k"}}, {}, {},
+     "model.angles.dtheta"),
 ], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
         "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list",
         "eta-zero", "centering", "windows-decreasing", "frequencies-decreasing",
@@ -440,7 +470,8 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
         "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float",
         "scale-draws-overflow", "scale-generator-overflows", "amplitude-square-overflows",
         "one-window-no-fit", "pump-gap-overflows", "hamiltonian-gap-overflows",
-        "band-and-bands", "n_max_list-empty", "bands-empty"])
+        "band-and-bands", "n_max_list-empty", "bands-empty", "dtheta-without-dphi",
+        "dphi-without-dtheta"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
     out = tmp_path / "out"
     cfg = {**base_config(task, out, model=model, **params), **top}

@@ -15,8 +15,8 @@ from crmatrix import (BlochField, InvarianceReport, LatticeSpec,
                       gauge_transform, pump_family_from_angles, random_gauge_field,
                       similarity_transform, trace_loop, two_band_field)
 from crmatrix.cli import main
-from crmatrix.gauge import (DIAGONAL_VALUE_TOL, LOOP_TOL, _exp_i, _fourier_coefficients,
-                            gauge_inhomogeneous_term)
+from crmatrix.gauge import (DIAGONAL_VALUE_TOL, LOOP_TOL, _entries, _fourier_coefficients,
+                            _stack, _su2_exp, _two_band_similarity, gauge_inhomogeneous_term)
 from crmatrix.model import stack_unitarity_defect
 from crmatrix.presets import generic_two_band, graphene_loop, identity_field, qwz_pump
 from crmatrix.rmatrix import loop_phases
@@ -488,6 +488,81 @@ def test_gauge_audit_csv_equals_whole_field_reference(tmp_path, monkeypatch, n_b
     assert audit_csv("whole-field") == need_only
 
 
+def eigh_gauge_audit(field, seed, seeds, modes, scale, band=0, kindex=0):
+    """The audit with every U(NB) gauge by eigh, written out: each generator
+    summed as an (N, NB, NB) complex stack, U = V e^{i w} V^dag and the
+    traced diagonal of U M U^dag by one einsum."""
+    grid, nb, dk = field.grid, field.n_bands, field.grid.spacing
+    conn = berry_connection(field).values
+    n = grid.n
+    angles = 2.0 * np.pi * ((np.arange(1, modes + 1)[:, None] * np.arange(n)) % n) / n
+    cos_table, sin_table = np.cos(angles), np.sin(angles)
+
+    def series(cos_coeffs, sin_coeffs):
+        at_p = (slice(None),) + (None,) * (cos_coeffs.ndim - 1)
+        out = np.zeros((n,) + cos_coeffs.shape[1:], dtype=complex)
+        out += cos_coeffs[0]
+        for s in range(1, modes + 1):
+            out += cos_table[s - 1][at_p] * cos_coeffs[s] + sin_table[s - 1][at_p] * sin_coeffs[s]
+        return out
+
+    names = ("diagonal_value", "diagonal_loop", "trace_loop", "berry_phase")
+    tolerances = (DIAGONAL_VALUE_TOL * grid.spec.lattice_constant, LOOP_TOL, LOOP_TOL, LOOP_TOL)
+    before = (diagonal_value(conn, band, kindex), diagonal_loop(conn, band, grid),
+              trace_loop(conn, grid), berry_phase(field, band))
+    reports = []
+    for gauge_seed in range(seed, seed + seeds):
+        xi = series(*_fourier_coefficients(nb, modes, gauge_seed, scale, True)[:, :, band, band])
+        u = np.exp(1j * xi)
+        a_bb = np.einsum("p,p,p->p", u, conn[:, band, band], u.conj()) \
+            + central_difference(xi, dk)
+        gen = series(*_fourier_coefficients(nb, modes, gauge_seed + 10_000, scale, False))
+        full = eigh_exp_i(gen)
+        traced = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1) \
+            + central_difference(np.trace(gen, axis1=1, axis2=2), dk)
+        after = (complex(a_bb[kindex]), float(np.real(np.sum(a_bb) * dk)),
+                 float(np.real(np.sum(traced) * dk)),
+                 float(loop_phases(np.einsum("pl,p->pl", field.coeffs[:, :, band], u.conj()))))
+        reports += [InvarianceReport(name, band, gauge_seed, b, a, tol) for name, b, a, tol
+                    in zip(names, before, after, tolerances)]
+    return reports
+
+
+@pytest.mark.parametrize("n_bands, model, params", [
+    (1, {"preset": "identity"}, {"scale": 2.0, "modes": 5}),
+    (3, {"hamiltonian": THREE_BANDS}, {"band": 2, "kindex": 5}),
+    (3, {"hamiltonian": THREE_BANDS}, {"scale": 1.5, "modes": 0}),
+], ids=["identity-nb1", "hamiltonian-nb3", "hamiltonian-nb3-modes0"])
+def test_gauge_audit_off_two_bands_keeps_the_eigh_path(tmp_path, monkeypatch, n_bands, model,
+                                                       params):
+    """Off NB = 2 the audit takes eigh and one einsum: gauge_audit.csv holds
+    the bytes of the written-out eigh audit."""
+    def audit_csv(label):
+        out = tmp_path / label
+        cfg = {"lattice": {"N": 48, "a": 1.3, "n_bands": n_bands}, "model": model,
+               "task": {"name": "gauge-audit", "params": {"seeds": 5, **params}},
+               "output": {"directory": str(out)}, "seed": 3}
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 0
+        return (out / "gauge_audit.csv").read_bytes()
+
+    audit = audit_csv("audit")
+    monkeypatch.setattr(gauge, "gauge_audit", eigh_gauge_audit)
+    assert audit_csv("eigh") == audit
+
+
+@pytest.mark.parametrize("modes, scale", [(0, 0.0), (3, 0.0), (0, 0.7)])
+def test_gauge_audit_trivial_and_constant_gauges(modes, scale):
+    """scale 0 draws H = 0, so U = I exactly (b = 0) and every row keeps its
+    value bit for bit; modes 0 draws one k-independent U, and the loops
+    stay invariant."""
+    rows = gauge_audit(generic_two_band(LatticeSpec(64, 1.0, 2)), 0, 4, modes, scale)
+    assert all(r.invariant for r in rows if r.name != "diagonal_value")
+    if scale == 0:
+        assert all(r.after == r.before for r in rows)
+
+
 def test_gauge_audit_memory_is_per_seed():
     """The audit holds O(1) connection-sized stacks, not one per seed: its
     tracemalloc peak at N=1024 over 20 seeds measures 10x one (N, NB, NB)
@@ -589,12 +664,42 @@ def test_su2_closed_form_matches_eigh(entries):
     h = np.empty((len(entries), 2, 2), dtype=complex)
     h[:, 0, 0], h[:, 1, 1] = t + d, t - d
     h[:, 0, 1], h[:, 1, 0] = re + 1j * im, re - 1j * im
-    u = _exp_i(h)
+    u = _stack(_su2_exp(t + d, t - d, re + 1j * im))
     limit = 16 * np.finfo(float).eps * (1 + np.max(np.abs(h), axis=(1, 2)))
     assert np.all(np.max(np.abs(u - eigh_exp_i(h)), axis=(1, 2)) <= limit)
     assert stack_unitarity_defect(u) <= 1e-14
     scalar = (d == 0) & (re == 0) & (im == 0)
     assert np.array_equal(u[scalar], np.exp(1j * t[scalar])[:, None, None] * np.eye(2))
+
+
+#: a complex 2x2 matrix, as eight real parts
+MATRIX = st.tuples(*[st.floats(-1e2, 1e2)] * 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.tuples(SU2_ENTRY, SU2_ENTRY, SU2_ENTRY, SU2_ENTRY), MATRIX),
+                min_size=1, max_size=6))
+@example([((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, -3.0, 0.5, 0.0, 1.0, 4.0, -2.0)),
+          ((0.7, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0))])
+@example([((0.3, 3.0, 1.0, -2.0), (1.0, 2.0, -3.0, 0.5, 0.0, 1.0, 4.0, -2.0)),
+          ((-1e3, 0.0, 4.0, 0.0), (0.0, 1e2, 1e2, 0.0, -1e2, 3.0, 0.0, 1.0))])
+def test_two_band_sandwich_matches_einsum_with_eigh(entries):
+    """U M U^dag from the closed-form U and explicit 2x2 products is within
+    64 eps (1 + max|H|) max|M| of the einsum sandwich with eigh's exp(i H),
+    at b = 0 (a scalar H) and past |b| = pi alike."""
+    (t, d, re, im), m = (np.array(x, dtype=float).T for x in zip(*entries))
+    h = np.empty((len(t), 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = t + d, t - d
+    h[:, 0, 1], h[:, 1, 0] = re + 1j * im, re - 1j * im
+    mat = (m[0::2] + 1j * m[1::2]).T.reshape(-1, 2, 2)
+    u = _su2_exp(t + d, t - d, re + 1j * im)
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    sandwich = np.stack(_two_band_similarity(u, _entries(mat), pairs), axis=-1).reshape(-1, 2, 2)
+    eigh_u = eigh_exp_i(h)
+    want = np.einsum("pmi,pij,pnj->pmn", eigh_u, mat, eigh_u.conj())
+    limit = 64 * np.finfo(float).eps * (1 + np.max(np.abs(h), axis=(1, 2))) \
+        * np.max(np.abs(mat), axis=(1, 2))
+    assert np.all(np.max(np.abs(sandwich - want), axis=(1, 2)) <= limit)
 
 
 @pytest.mark.parametrize("nb", [1, 3])
