@@ -289,8 +289,12 @@ def _two_band_eigh(hk: np.ndarray, energies: np.ndarray, coeffs: np.ndarray) -> 
     # halves first: t and d stay finite for any finite diagonal
     t, d = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11
     r = np.hypot(d, np.abs(c))
-    energies[:, 0] = t - r
-    energies[:, 1] = t + r
+    np.subtract(t, r, out=energies[:, 0])
+    np.add(t, r, out=energies[:, 1])
+    # spent arrays are dropped and the rest is computed in place, so a block
+    # holds a few block-sized arrays at once; the bits are those of the plain
+    # expressions in the comments
+    del t
     tiny = r < 2.0 ** -900
     if tiny.any():
         # near the subnormal range halving and hypot round coarsely: take the
@@ -299,21 +303,47 @@ def _two_band_eigh(hk: np.ndarray, energies: np.ndarray, coeffs: np.ndarray) -> 
         c = c.copy()
         d[tiny], c[tiny] = (h00[tiny] - h11[tiny]) * 2.0 ** 599, c[tiny] * 2.0 ** 600
         r = np.hypot(d, np.abs(c))
-    gapped = r > 0.0
-    big = np.sqrt(0.5 + 0.5 * np.divide(np.abs(d), r, out=np.ones_like(r), where=gapped))
-    small = np.zeros_like(c)
-    np.divide(c.real, r, out=small.real, where=gapped)
-    np.divide(c.imag, r, out=small.imag, where=gapped)
-    small *= 0.5 / big
-    # np.abs, not hypot: the modulus that fix_phase_gauge's argmax compares
-    big = np.maximum(big, np.nextafter(np.abs(small), np.inf))
     # the upper band's pivot is its first component unless d < 0, the lower
     # band's its second if d > 0
     upper, lower = d >= 0.0, d > 0.0
-    coeffs[:, 0, 0] = np.where(lower, -small.conj(), big)
-    coeffs[:, 1, 0] = np.where(lower, big, -small)
-    coeffs[:, 0, 1] = np.where(upper, big, small.conj())
-    coeffs[:, 1, 1] = np.where(upper, small, big)
+    gapped = r > 0.0
+    big = np.divide(np.abs(d), r, out=np.ones_like(r), where=gapped)
+    del d
+    big *= 0.5  # big = sqrt(0.5 + 0.5 * big)
+    big += 0.5
+    np.sqrt(big, out=big)
+    small = np.zeros_like(c)
+    np.divide(c.real, r, out=small.real, where=gapped)
+    np.divide(c.imag, r, out=small.imag, where=gapped)
+    scale = np.divide(0.5, big, out=r)  # small *= 0.5 / big; r is spent
+    small *= scale
+    # big = max(big, nextafter(np.abs(small), inf)); np.abs, not hypot: the
+    # modulus that fix_phase_gauge's argmax compares
+    np.abs(small, out=scale)
+    np.nextafter(scale, np.inf, out=scale)
+    np.maximum(big, scale, out=big)
+    # every entry starts as the pivot, big + 0j; then each column's other
+    # entry is written: small, its conjugate, its negation or both
+    coeffs[...] = big[:, None, None]
+    np.copyto(coeffs[:, 1, 1], small, where=upper)
+    np.conjugate(small, out=coeffs[:, 0, 1], where=~upper)
+    np.negative(small, out=coeffs[:, 1, 0], where=~lower)
+    np.conjugate(small, out=coeffs[:, 0, 0], where=lower)  # -small.conj()
+    np.negative(coeffs[:, 0, 0], out=coeffs[:, 0, 0], where=lower)
+
+
+def _hermiticity_defect(hk: np.ndarray, out: np.ndarray) -> None:
+    """The largest entry of |H - H^dag| of each matrix of a (P, NB, NB)
+    stack, written into ``out`` (P,).  For NB = 2 it is taken as
+    max(|H01 - conj H10|, 2 |Im H00|, 2 |Im H11|), without the whole
+    difference: the same bits, and the same overflow in a subtraction."""
+    if hk.shape[-1] == 2:
+        diagonal = np.maximum(np.abs(hk[:, 0, 0].imag), np.abs(hk[:, 1, 1].imag))
+        np.subtract(diagonal, -diagonal, out=diagonal)  # |Im(H_ii - conj H_ii)|
+        np.abs(hk[:, 0, 1] - hk[:, 1, 0].conj(), out=out)
+        np.maximum(out, diagonal, out=out)
+    else:
+        np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1), out=out)
 
 
 def _where(index) -> str:
@@ -332,18 +362,22 @@ def _eigen_decompose(source, shape: tuple):
     (..., NB, NB): (phase-fixed coefficients, ascending energies).
 
     ``source`` is the stack itself, whose shape must be ``shape``, or a
-    block source: a function of a slice of the stack's points, flat in C
-    order, returning their (points, NB, NB) matrices.  The work runs
-    ``ROW_BLOCK**2`` matrices at a time into the preallocated outputs, so
-    beyond them it holds one Hermiticity defect and one gap per point and
-    O(ROW_BLOCK**2 * NB^2) bytes of transients.  A non-finite entry, or a
-    Hermiticity defect above ``HERMITICITY_TOL`` max|H|, is a ValueError and
-    an adjacent eigenvalue gap not above ``GAP_TOL`` max|E| a
-    :class:`DegenerateRibbon`, each naming the first bad index: the ribbon
-    is discontinuous at a degeneracy and silent reordering would hide it.
-    Both limits are maxima over the whole stack.  A stack whose entries or
-    eigenvalue gaps overflow the float range in these checks raises
-    FloatingPointError.  NB = 2 takes the closed form of
+    block source: a function of a slice of the stack's leading rows,
+    returning their (rows, ..., NB, NB) matrices.  The work runs a block of
+    leading rows at a time into the preallocated outputs, each block
+    holding at most ``ROW_BLOCK**2`` points (a row longer than that is a
+    block of its own), so beyond them it holds one Hermiticity defect and
+    one gap per point and O(ROW_BLOCK**2 * NB^2) bytes of transients, or
+    O(row * NB^2) for a longer row.  Each block is guarded in one pass:
+    one ``np.abs`` of its entries gives both the finiteness check and
+    max|H|, and :func:`_hermiticity_defect` the defect.  A non-finite
+    entry, or a Hermiticity defect above ``HERMITICITY_TOL`` max|H|, is a
+    ValueError and an adjacent eigenvalue gap not above ``GAP_TOL`` max|E|
+    a :class:`DegenerateRibbon`, each naming the first bad index: the
+    ribbon is discontinuous at a degeneracy and silent reordering would
+    hide it.  Both limits are maxima over the whole stack.  A stack whose
+    Hermiticity difference, energies or eigenvalue gaps overflow the float
+    range raises FloatingPointError.  NB = 2 takes the closed form of
     :func:`_two_band_eigh`; every other NB takes ``np.linalg.eigh`` and
     :func:`fix_phase_gauge`.
     """
@@ -351,22 +385,30 @@ def _eigen_decompose(source, shape: tuple):
         stack = np.asarray(source)
         if stack.shape != shape:
             raise ValueError(f"hamiltonian stack has shape {stack.shape}, expected {shape}")
-        source = stack.reshape((-1,) + shape[-2:]).__getitem__
+        source = stack.__getitem__
     points, nb = shape[:-2], shape[-1]
-    n = math.prod(points)
+    n, width = math.prod(points), math.prod(points[1:])
     coeffs, energies = np.empty((n, nb, nb), dtype=complex), np.empty((n, nb))
     defect, gap = np.empty(n), np.empty(n)
     h_max = e_max = 0.0
-    for start in range(0, n, ROW_BLOCK ** 2):
-        block = slice(start, min(start + ROW_BLOCK ** 2, n))
-        hk = np.asarray(source(block), dtype=complex)
-        finite = np.isfinite(hk)
-        if not finite.all():
-            at, i, j = _first(~finite)
-            raise ValueError(f"hamiltonian at {_where(np.unravel_index(start + at, points))} "
-                             f"has a non-finite entry {(i, j)}: {hk[at, i, j]}")
-        defect[block] = np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1))
-        h_max = max(h_max, np.max(np.abs(hk), initial=0.0))
+    rows = max(1, ROW_BLOCK ** 2 // max(1, width))
+    for r0 in range(0, points[0], rows):
+        r1 = min(r0 + rows, points[0])
+        block = slice(r0 * width, r1 * width)
+        hk = np.asarray(source(slice(r0, r1)), dtype=complex).reshape(-1, nb, nb)
+        # a finite entry's modulus may overflow to inf; only a non-finite entry
+        # is an error here
+        with np.errstate(over="ignore"):
+            top = np.max(np.abs(hk), initial=0.0)
+        if not np.isfinite(top):
+            finite = np.isfinite(hk)
+            if not finite.all():
+                at, i, j = _first(~finite)
+                index = np.unravel_index(block.start + at, points)
+                raise ValueError(f"hamiltonian at {_where(index)} "
+                                 f"has a non-finite entry {(i, j)}: {hk[at, i, j]}")
+        h_max = max(h_max, top)
+        _hermiticity_defect(hk, defect[block])
         if nb == 2:
             _two_band_eigh(hk, energies[block], coeffs[block])
         else:

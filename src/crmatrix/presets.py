@@ -94,17 +94,17 @@ def qwz_pump(spec: LatticeSpec, n_lambda: Optional[int] = None, mu: float = -1.0
     """Eigen-decomposed pump family of the qwz Hamiltonian, on ``n_lambda``
     (default N) lambda points; band 0 is the occupied (lower) band.
     |mu| < 2 pumps one unit of charge per cycle, |mu| > 2 pumps none.  The
-    Hamiltonian is evaluated block by block inside the eigen path, so its
-    whole (N, n_lambda, 2, 2) stack is never held."""
+    Hamiltonian is evaluated block by block of k rows inside the eigen path,
+    so its whole (N, n_lambda, 2, 2) stack is never held, and each block
+    takes the trigonometric functions once per k and once per lambda."""
     if spec.n_bands != 2:
         raise ValueError("the qwz pump is two-band")
     grid = build_kgrid(spec)
     lambdas = pump_lambdas(spec.n_cells if n_lambda is None else n_lambda)
     h = qwz_hamiltonian(mu)
 
-    def block(points: slice) -> np.ndarray:
-        p, j = np.divmod(np.arange(points.start, points.stop), len(lambdas))
-        return h(grid.points[p], lambdas[j])
+    def block(rows: slice) -> np.ndarray:
+        return h(grid.points[rows, None], lambdas[None, :])
 
     coeffs, energies = _eigen_decompose(block, (grid.n, len(lambdas), 2, 2))
     return PumpFamily(grid=grid, lambdas=lambdas, coeffs=coeffs, energies=energies)

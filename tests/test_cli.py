@@ -453,6 +453,13 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
     ("pump", {"preset": "qwz-pump", "params": {"mu": 1e308}}, {}, {}, "model.params.mu"),
     ("connection", {"hamiltonian": [["1e308", "0"], ["0", "-1e308"]]}, {}, {},
      "model.hamiltonian"),
+    ("connection", {"hamiltonian": [["1", "1e308"], ["-1e308", "-1"]]}, {}, {},
+     "model.hamiltonian overflows a float"),
+    ("connection", {"hamiltonian": [["1e308*j", "0"], ["0", "1"]]}, {}, {},
+     "model.hamiltonian overflows a float"),
+    ("connection", {"hamiltonian": [["1", "1.5e308*(1+j)"], ["1.5e308*(1-j)", "0/(k-k)"]]},
+     {}, {}, "model.hamiltonian: hamiltonian at k index 0 has a non-finite entry (1, 1): "
+             "(nan+0j)\n"),
     ("berry-phase", None, {"band": 1, "bands": [0]}, {}, "task.params.bands"),
     ("incompleteness", CHAIN, {"n_max_list": []}, {}, "task.params.n_max_list"),
     ("berry-phase", None, {"bands": []}, {}, "task.params.bands"),
@@ -470,6 +477,8 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
         "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float",
         "scale-draws-overflow", "scale-generator-overflows", "amplitude-square-overflows",
         "one-window-no-fit", "pump-gap-overflows", "hamiltonian-gap-overflows",
+        "hamiltonian-difference-overflows", "hamiltonian-imaginary-diagonal-overflows",
+        "hamiltonian-nan-past-an-overflowing-modulus",
         "band-and-bands", "n_max_list-empty", "bands-empty", "dtheta-without-dphi",
         "dphi-without-dtheta"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +8,8 @@ from crmatrix import (DegenerateRibbon, LatticeSpec, build_kgrid,
                       eigenfield_from_hamiltonian, eigenfield_from_stack, fix_phase_gauge,
                       graphene_phases, honeycomb_phasor_sum, pump_family_from_angles,
                       pump_family_from_hamiltonian, pump_family_from_stack, two_band_field)
-from crmatrix.model import _two_band_eigh, stack_unitarity_defect, two_band_columns
+from crmatrix.model import (_hermiticity_defect, _two_band_eigh, stack_unitarity_defect,
+                            two_band_columns)
 from crmatrix.presets import DIRAC_POINT, graphene_loop, qwz_hamiltonian, qwz_pump
 from crmatrix.rmatrix import central_difference, link_overlaps
 
@@ -386,6 +389,73 @@ def test_guards_in_the_last_block_name_the_whole_stack_index(value, message):
         pump_family_from_stack(hk, grid)
 
 
+@pytest.mark.parametrize("n, n_lambda, mu, rows, lambdas", [
+    (50, 97, 0.7, [0, 41, 42, 49], range(97)),  # 42 rows a block: 97 does not divide 4,096
+    (3, 5000, -1.0, [0, 1, 2], [0, 4095, 4096, 4999]),  # a row longer than a block
+], ids=["rows-not-dividing-a-block", "row-longer-than-a-block"])
+def test_qwz_pump_row_blocks_equal_the_per_point_reference(n, n_lambda, mu, rows, lambdas):
+    """Every point against the whole-stack closed form of the Pauli sum, and
+    the points of the rows on each side of a block edge against the
+    per-point reference; the stack source takes the same row blocks."""
+    spec = LatticeSpec(n_cells=n, lattice_constant=1.0, n_bands=2)
+    fam = qwz_pump(spec, n_lambda, mu=mu)
+    k, lam = np.meshgrid(fam.grid.points, np.arange(n_lambda) / n_lambda, indexing="ij")
+    hk = ref_qwz_hamiltonian(mu)(k[..., None, None], lam[..., None, None])
+    coeffs, energies = whole_stack_pump(hk)
+    for got in (fam, pump_family_from_stack(hk, fam.grid)):
+        assert_same_bytes(got.coeffs, coeffs)
+        assert_same_bytes(got.energies, energies)
+    h = ref_qwz_hamiltonian(mu)
+    for j in lambdas:
+        ref = ref_eigenfield(lambda kv: h(kv, j / n_lambda), fam.grid.points[rows], 2)
+        assert_same_bytes(fam.coeffs[rows, j], ref[0])
+        assert_same_bytes(fam.energies[rows, j], ref[1])
+
+
+OVERFLOWS = 1.5e308 * (1 + 1j)  #: a finite entry whose modulus overflows
+
+
+@pytest.mark.parametrize("bad, overflow, message", [
+    ((60, 10, 0, 1, np.nan), (60, 5, 1, 0),
+     "hamiltonian at k index 60, lambda index 10 has a non-finite entry (0, 1): (nan+0j)"),
+    ((60, 10, 1, 1, np.inf), (55, 5, 0, 1),
+     "hamiltonian at k index 60, lambda index 10 has a non-finite entry (1, 1): (inf+0j)"),
+    ((60, 10, 1, 0, complex(1.0, np.nan)), (61, 5, 0, 1),
+     "hamiltonian at k index 60, lambda index 10 has a non-finite entry (1, 0): (1+nanj)"),
+    ((60, 5, 0, 1, np.nan), (10, 10, 1, 0),
+     "hamiltonian at k index 60, lambda index 5 has a non-finite entry (0, 1): (nan+0j)"),
+], ids=["nan-after-overflow", "inf-after-overflow", "nan-before-overflow",
+        "overflow-in-an-earlier-block"])
+def test_non_finite_entry_is_named_past_an_overflowing_modulus(bad, overflow, message):
+    """One np.abs per block checks finiteness; a finite entry whose modulus
+    overflows, in the same block or an earlier one, does not hide the
+    non-finite entry or change its message."""
+    grid = build_kgrid(LatticeSpec(n_cells=64, lattice_constant=1.0, n_bands=2))
+    hk = qwz_hamiltonian(-1.0)(*np.meshgrid(grid.points, np.arange(80) / 80, indexing="ij"))
+    hk[bad[:4]], hk[overflow] = bad[4], OVERFLOWS  # 51 rows a block: row 60 is in the second
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        pump_family_from_stack(hk, grid)
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    ({(0, 0): 1e308, (1, 1): -1e308}, FloatingPointError, None),  # the gap overflows
+    ({(0, 1): 1e308, (1, 0): -1e308}, FloatingPointError, None),  # H - H^dag overflows
+    ({(0, 0): 1e308j}, FloatingPointError, None),  # its diagonal overflows
+    ({(0, 1): OVERFLOWS, (1, 0): np.conj(OVERFLOWS)}, DegenerateRibbon,
+     "eigenvalue gap 2.000e+00 is not above its limit inf at k index 0, lambda index 0"),
+], ids=["gap", "hermiticity-difference", "imaginary-diagonal", "modulus-only"])
+def test_finite_overflowing_stacks_raise_as_before(entries, error, message):
+    """A finite stack that overflows in the Hermiticity difference or the
+    gaps raises FloatingPointError; one whose only overflow is |H| passes
+    the guards with max|H| = inf and meets the gap guard's infinite limit."""
+    grid = build_kgrid(LatticeSpec(n_cells=64, lattice_constant=1.0, n_bands=2))
+    hk = qwz_hamiltonian(-1.0)(*np.meshgrid(grid.points, np.arange(80) / 80, indexing="ij"))
+    for (i, j), value in entries.items():
+        hk[60, 10, i, j] = value
+    with pytest.raises(error, match=None if message is None else "^" + re.escape(message) + "$"):
+        pump_family_from_stack(hk, grid)
+
+
 def random_three_band(seed):
     """A gapped 3-band h(k, lam) with random Hermitian coefficient matrices."""
     rng = np.random.default_rng(seed)
@@ -457,6 +527,35 @@ def test_stack_guards_name_the_first_bad_index():
     qwz = qwz_hamiltonian(0.0)(*np.meshgrid(grid.points, np.arange(4) / 4, indexing="ij"))
     with pytest.raises(DegenerateRibbon, match="k index 0, lambda index 2"):
         pump_family_from_stack(qwz, grid)
+
+
+#: a 2 x 2 matrix scale: subnormal, small, 1 or near the top of the float range
+DEFECT_SCALE = st.sampled_from([1e-310, 1e-150, 1.0, 1e300])
+DEFECT_ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-10, 1e-10),
+                         st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(DEFECT_SCALE, *[DEFECT_ENTRY] * 8), min_size=1, max_size=8))
+@example([(1e300, 1e3, -1e3, 1e3, -1e3, 1e3, 1e3, -1e3, 1e3)])
+@example([(1e-310, 1.0, 0.5, 0.3, -0.7, 1e-10, 0.0, -0.0, 2.5)])
+@example([(1.0, 0.2, 0.1, 0.4, 0.3, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 1e-10, -1e-10,
+                                                        1e-10, -1e-10)])
+def test_two_band_hermiticity_defect_equals_the_full_difference(entries):
+    """max(|H01 - conj H10|, 2|Im H00|, 2|Im H11|) is max|H - H^dag| bit for
+    bit, on Hermitian, near-Hermitian and non-Hermitian matrices from
+    subnormal to 1e303 entries."""
+    scale, t, d, re_c, im_c, re_e, im_e, im00, im11 = np.array(entries).T
+    h = np.empty((len(entries), 2, 2), dtype=complex)
+    h.real[:, 0, 0], h.real[:, 1, 1] = scale * (t + d), scale * (t - d)
+    h.imag[:, 0, 0], h.imag[:, 1, 1] = scale * im00, scale * im11
+    h.real[:, 1, 0], h.imag[:, 1, 0] = scale * re_c, scale * im_c
+    # H01 is conj H10 plus the error (re_e, im_e)
+    h.real[:, 0, 1] = h.real[:, 1, 0] + scale * re_e
+    h.imag[:, 0, 1] = -h.imag[:, 1, 0] + scale * im_e
+    got = np.empty(len(h))
+    _hermiticity_defect(h, got)
+    assert_same_bytes(got, np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), axis=(-2, -1)))
 
 
 #: an entry of t I + d sigma_z + (Re c) sigma_x + (Im c) sigma_y: exactly

@@ -238,16 +238,20 @@ def test_spectrum_mass_center_independent():
 
 def unblocked_spectrum(field, occ, d):
     """J(omega) from one (N_k, N_omega) Lorentzian product per band pair,
-    formed whole and summed over k in a single reduction."""
+    formed whole over every defined point, zero weights included, and
+    summed over k in a single reduction; and the fraction of (pair, k)
+    points left undefined."""
     vals = reduced_position_matrix(field).values
     energies, nk, dk = field.energies, field.n_k, field.grid.spacing
     w = d.frequencies
-    total = np.zeros_like(w)
+    total, skipped, pairs = np.zeros_like(w), 0, 0
     order = np.argsort(np.mean(energies, axis=0))
     for hi in range(field.n_bands):
         for lo in range(hi):
             m, n = int(order[hi]), int(order[lo])
             shift, defined = shift_vector_field(field, m, n)
+            pairs += nk
+            skipped += int(np.sum(~defined))
             f = occ.difference(m, n, nk)[defined]
             r2 = np.abs(vals[defined, m, n]) ** 2
             w_mn = energies[defined, m] - energies[defined, n]
@@ -255,7 +259,7 @@ def unblocked_spectrum(field, occ, d):
             lorentzian = (d.broadening / np.pi) / ((w_mn[:, None] - w[None, :]) ** 2
                                                    + d.broadening_sq)
             total += (weight[:, None] * lorentzian).sum(axis=0) * d.amplitude ** 2
-    return total
+    return total, skipped / pairs
 
 
 def two_band_hamiltonian(k):
@@ -279,7 +283,7 @@ def test_spectrum_blocks_equal_the_unblocked_sum_bit_for_bit(hamiltonian_fields,
     d = DriveSpec(np.linspace(0.5, 4.5, count), np.linspace(0.8, 1.2, count), 0.05)
     got = shift_current_spectrum(field, occ, d).currents
     assert np.any(got != 0.0)
-    assert got.tobytes() == unblocked_spectrum(field, occ, d).tobytes()
+    assert got.tobytes() == unblocked_spectrum(field, occ, d)[0].tobytes()
 
 
 @pytest.mark.parametrize("nb, lower_half", [(2, [0.0, 1.0]), (3, [1.0, 0.0, 0.0])],
@@ -293,6 +297,43 @@ def test_default_occupation_fills_the_lower_half_bit_for_bit(hamiltonian_fields,
     want = shift_current_spectrum(field, OccupationSpec(lower_half), drive()).currents
     assert np.any(want != 0.0)
     assert got.tobytes() == want.tobytes()
+
+
+def decoupled_three_band(k):
+    """The two-band Hamiltonian plus an uncoupled third orbital: r_{2,n}
+    vanishes, so two of the three band pairs are undefined at every k."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[:2, :2], h[2, 2] = two_band_hamiltonian(k), 3.0
+    return h
+
+
+@pytest.fixture(scope="module")
+def three_band_fields(hamiltonian_fields):
+    decoupled = eigenfield_from_hamiltonian(decoupled_three_band,
+                                            build_kgrid(LatticeSpec(256, 1.0, 3)))
+    return {"coupled": hamiltonian_fields[3], "decoupled": decoupled}
+
+
+@pytest.mark.parametrize("count", [1, 65])
+@pytest.mark.parametrize("model", ["coupled", "decoupled"])
+@pytest.mark.parametrize("fillings", ["default", "per-k"])
+def test_zero_weight_points_leave_the_spectrum_bits(three_band_fields, model, fillings, count):
+    """Points where f_n - f_m = 0 are left out of the sum (all of them, for
+    the default filling's (2, 1) pair); currents and skipped fraction are
+    those of the sum over every defined point, one-frequency spectra too."""
+    field = three_band_fields[model]
+    if fillings == "default":
+        occ, ref_occ = None, OccupationSpec([1.0, 0.0, 0.0])
+    else:
+        table = np.random.default_rng(5).choice([0.0, 0.25, 0.7, 1.0], size=(field.n_k, 3))
+        occ = ref_occ = OccupationSpec(table)
+    d = DriveSpec(np.linspace(0.5, 4.5, count), np.linspace(0.8, 1.2, count), 0.05)
+    got = shift_current_spectrum(field, occ, d)
+    currents, skipped = unblocked_spectrum(field, ref_occ, d)
+    assert np.any(currents != 0.0)
+    assert got.currents.tobytes() == currents.tobytes()
+    assert got.skipped_fraction == skipped
+    assert skipped == (0.0 if model == "coupled" else 2 / 3)
 
 
 def test_spectrum_memory_does_not_grow_with_the_frequency_count():
