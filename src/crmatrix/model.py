@@ -289,12 +289,8 @@ def _two_band_eigh(hk: np.ndarray, energies: np.ndarray, coeffs: np.ndarray) -> 
     # halves first: t and d stay finite for any finite diagonal
     t, d = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11
     r = np.hypot(d, np.abs(c))
-    np.subtract(t, r, out=energies[:, 0])
-    np.add(t, r, out=energies[:, 1])
-    # spent arrays are dropped and the rest is computed in place, so a block
-    # holds a few block-sized arrays at once; the bits are those of the plain
-    # expressions in the comments
-    del t
+    energies[:, 0] = t - r
+    energies[:, 1] = t + r
     tiny = r < 2.0 ** -900
     if tiny.any():
         # near the subnormal range halving and hypot round coarsely: take the
@@ -303,36 +299,24 @@ def _two_band_eigh(hk: np.ndarray, energies: np.ndarray, coeffs: np.ndarray) -> 
         c = c.copy()
         d[tiny], c[tiny] = (h00[tiny] - h11[tiny]) * 2.0 ** 599, c[tiny] * 2.0 ** 600
         r = np.hypot(d, np.abs(c))
-    # the upper band's pivot is its first component unless d < 0, the lower
-    # band's its second if d > 0
-    upper, lower = d >= 0.0, d > 0.0
     gapped = r > 0.0
-    big = np.divide(np.abs(d), r, out=np.ones_like(r), where=gapped)
-    del d
-    big *= 0.5  # big = sqrt(0.5 + 0.5 * big)
-    big += 0.5
-    np.sqrt(big, out=big)
+    big = np.sqrt(0.5 + 0.5 * np.divide(np.abs(d), r, out=np.ones_like(r), where=gapped))
     small = np.zeros_like(c)
     np.divide(c.real, r, out=small.real, where=gapped)
     np.divide(c.imag, r, out=small.imag, where=gapped)
-    scale = np.divide(0.5, big, out=r)  # small *= 0.5 / big; r is spent
-    small *= scale
-    # big = max(big, nextafter(np.abs(small), inf)); np.abs, not hypot: the
-    # modulus that fix_phase_gauge's argmax compares
-    np.abs(small, out=scale)
-    np.nextafter(scale, np.inf, out=scale)
-    np.maximum(big, scale, out=big)
-    # every entry starts as the pivot, big + 0j; then each column's other
-    # entry is written: small, its conjugate, its negation or both
-    coeffs[...] = big[:, None, None]
-    np.copyto(coeffs[:, 1, 1], small, where=upper)
-    np.conjugate(small, out=coeffs[:, 0, 1], where=~upper)
-    np.negative(small, out=coeffs[:, 1, 0], where=~lower)
-    np.conjugate(small, out=coeffs[:, 0, 0], where=lower)  # -small.conj()
-    np.negative(coeffs[:, 0, 0], out=coeffs[:, 0, 0], where=lower)
+    small *= 0.5 / big
+    # np.abs, not hypot: the modulus that fix_phase_gauge's argmax compares
+    big = np.maximum(big, np.nextafter(np.abs(small), np.inf))
+    # the upper band's pivot is its first component unless d < 0, the lower
+    # band's its second if d > 0
+    upper, lower = d >= 0.0, d > 0.0
+    coeffs[:, 0, 0] = np.where(lower, -small.conj(), big)
+    coeffs[:, 1, 0] = np.where(lower, big, -small)
+    coeffs[:, 0, 1] = np.where(upper, big, small.conj())
+    coeffs[:, 1, 1] = np.where(upper, small, big)
 
 
-def _hermiticity_defect(hk: np.ndarray, out: np.ndarray) -> None:
+def _stack_hermiticity_defect(hk: np.ndarray, out: np.ndarray) -> None:
     """The largest entry of |H - H^dag| of each matrix of a (P, NB, NB)
     stack, written into ``out`` (P,).  For NB = 2 it is taken as
     max(|H01 - conj H10|, 2 |Im H00|, 2 |Im H11|), without the whole
@@ -344,6 +328,18 @@ def _hermiticity_defect(hk: np.ndarray, out: np.ndarray) -> None:
         np.maximum(out, diagonal, out=out)
     else:
         np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1), out=out)
+
+
+def _row_blocks(shape: tuple):
+    """(row slice, flat slice) of each block of leading rows of an array of
+    ``shape``: runs of whole rows holding at most ``ROW_BLOCK**2`` points, a
+    row longer than that a block of its own.  The flat slice indexes the
+    same points with the leading axes flattened in C order."""
+    width = math.prod(shape[1:])
+    step = max(1, ROW_BLOCK ** 2 // max(1, width))
+    for r0 in range(0, shape[0], step):
+        r1 = min(r0 + step, shape[0])
+        yield slice(r0, r1), slice(r0 * width, r1 * width)
 
 
 def _where(index) -> str:
@@ -370,7 +366,7 @@ def _eigen_decompose(source, shape: tuple):
     one gap per point and O(ROW_BLOCK**2 * NB^2) bytes of transients, or
     O(row * NB^2) for a longer row.  Each block is guarded in one pass:
     one ``np.abs`` of its entries gives both the finiteness check and
-    max|H|, and :func:`_hermiticity_defect` the defect.  A non-finite
+    max|H|, and :func:`_stack_hermiticity_defect` the defect.  A non-finite
     entry, or a Hermiticity defect above ``HERMITICITY_TOL`` max|H|, is a
     ValueError and an adjacent eigenvalue gap not above ``GAP_TOL`` max|E|
     a :class:`DegenerateRibbon`, each naming the first bad index: the
@@ -387,18 +383,15 @@ def _eigen_decompose(source, shape: tuple):
             raise ValueError(f"hamiltonian stack has shape {stack.shape}, expected {shape}")
         source = stack.__getitem__
     points, nb = shape[:-2], shape[-1]
-    n, width = math.prod(points), math.prod(points[1:])
+    n = math.prod(points)
     coeffs, energies = np.empty((n, nb, nb), dtype=complex), np.empty((n, nb))
     defect, gap = np.empty(n), np.empty(n)
     h_max = e_max = 0.0
-    rows = max(1, ROW_BLOCK ** 2 // max(1, width))
-    for r0 in range(0, points[0], rows):
-        r1 = min(r0 + rows, points[0])
-        block = slice(r0 * width, r1 * width)
-        hk = np.asarray(source(slice(r0, r1)), dtype=complex).reshape(-1, nb, nb)
+    for rows, block in _row_blocks(points):
+        hk = np.asarray(source(rows), dtype=complex).reshape(-1, nb, nb)
         # a finite entry's modulus may overflow to inf; only a non-finite entry
         # is an error here
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             top = np.max(np.abs(hk), initial=0.0)
         if not np.isfinite(top):
             finite = np.isfinite(hk)
@@ -408,7 +401,7 @@ def _eigen_decompose(source, shape: tuple):
                 raise ValueError(f"hamiltonian at {_where(index)} "
                                  f"has a non-finite entry {(i, j)}: {hk[at, i, j]}")
         h_max = max(h_max, top)
-        _hermiticity_defect(hk, defect[block])
+        _stack_hermiticity_defect(hk, defect[block])
         if nb == 2:
             _two_band_eigh(hk, energies[block], coeffs[block])
         else:

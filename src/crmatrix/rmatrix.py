@@ -12,14 +12,13 @@ to a delta ahead of time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonHermitianInput, UnderResolvedGrid, ZeroOverlap
-from .model import ROW_BLOCK, BlochField, KGrid, _first, _where
+from .model import ROW_BLOCK, BlochField, KGrid, _first, _row_blocks, _where
 
 CRM_HERMITICITY_TOL = 1e-10  #: per unit lattice constant, the scale of every entry
 ZERO_OVERLAP_TOL = 1e-12  #: a link overlap below this modulus has no phase
@@ -99,9 +98,8 @@ def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
     if n < 3:
         raise UnderResolvedGrid(f"a closed loop needs at least 3 grid points, got {n}")
     links = np.empty(cols.shape[:-1], dtype=complex)
-    rows = max(1, ROW_BLOCK ** 2 // max(1, math.prod(links.shape[1:])))
-    for r0 in range(0, len(links), rows):
-        r1 = min(r0 + rows, len(links))
+    for rows, _ in _row_blocks(links.shape):
+        r0, r1 = rows.start, rows.stop
         here = cols[r0:r1]
         nxt = (np.concatenate((cols[r0 + 1:r1 + 1], cols[:max(0, r1 + 1 - n)])) if axis == 0
                else np.roll(here, -1, axis=axis))

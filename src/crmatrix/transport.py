@@ -141,10 +141,6 @@ def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], dri
     J(omega) = sum_{m>n} sum_p f_{m,n} R_{m,n} |r_{m,n}|^2
                L_eta(omega_{m,n} - omega) E(omega)^2 dk,
     skipping undefined-shift points; the skipped fraction is reported.
-    A zero-weight point (f_{m,n} = 0) adds a signed zero and is left out of
-    the sum; a one-frequency spectrum, summed pairwise over k, leaves out
-    only a pair that has weight nowhere.  Either way the bits are those of
-    the sum over every defined point.
     ``occ=None`` fills the n_bands // 2 bands lowest in mean energy over k.
 
     The (k, omega) Lorentzian product is formed and summed over k in one
@@ -183,17 +179,14 @@ def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], dri
             pairs += nk
             skipped += int(np.sum(~defined))
             f = occ.difference(m, n, nk)
-            # dropping a zero-weight row leaves a row-by-row column sum as it
-            # is, but moves the grouping of a one-column block's pairwise sum
-            used = defined & (f != 0)
-            if not np.any(used):
+            # a pair with no weight at any defined point adds only signed
+            # zeros to a total that starts at +0
+            if not np.any(defined & (f != 0)):
                 continue
-            if len(w) == 1:
-                used = defined
-            f = f[used]
-            r2 = np.abs(vals[used, m, n]) ** 2
-            w_mn = energies[used, m] - energies[used, n]
-            weight = f * shift[used] * r2 * dk
+            f = f[defined]
+            r2 = np.abs(vals[defined, m, n]) ** 2
+            w_mn = energies[defined, m] - energies[defined, n]
+            weight = f * shift[defined] * r2 * dk
             for b0, b1 in zip(edges[:-1], edges[1:]):
                 x = buffer[:w_mn.size * (b1 - b0)].reshape(w_mn.size, b1 - b0)
                 np.subtract(w_mn[:, None], w[None, b0:b1], out=x)

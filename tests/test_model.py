@@ -8,7 +8,7 @@ from crmatrix import (DegenerateRibbon, LatticeSpec, build_kgrid,
                       eigenfield_from_hamiltonian, eigenfield_from_stack, fix_phase_gauge,
                       graphene_phases, honeycomb_phasor_sum, pump_family_from_angles,
                       pump_family_from_hamiltonian, pump_family_from_stack, two_band_field)
-from crmatrix.model import (_hermiticity_defect, _two_band_eigh, stack_unitarity_defect,
+from crmatrix.model import (_stack_hermiticity_defect, _two_band_eigh, stack_unitarity_defect,
                             two_band_columns)
 from crmatrix.presets import DIRAC_POINT, graphene_loop, qwz_hamiltonian, qwz_pump
 from crmatrix.rmatrix import central_difference, link_overlaps
@@ -554,7 +554,7 @@ def test_two_band_hermiticity_defect_equals_the_full_difference(entries):
     h.real[:, 0, 1] = h.real[:, 1, 0] + scale * re_e
     h.imag[:, 0, 1] = -h.imag[:, 1, 0] + scale * im_e
     got = np.empty(len(h))
-    _hermiticity_defect(h, got)
+    _stack_hermiticity_defect(h, got)
     assert_same_bytes(got, np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), axis=(-2, -1)))
 
 
