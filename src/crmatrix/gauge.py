@@ -16,8 +16,8 @@ invariances exact instead of O(dk^2).  Non-commuting gauge fields fall
 back to differencing U^dag, with the documented O(dk^2) invariance error;
 only their trace, tr(U i d_k U^dag) = d_k tr H, is exact.
 
-:func:`gauge_audit` checks these claims seed by seed over random gauges,
-computing only the entries its rows read.
+:func:`gauge_audit` checks these claims over random gauges, a block of
+seeds at a time, computing only the entries its rows read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .model import BlochField, KGrid, stack_unitarity_defect
+from .model import ROW_BLOCK, BlochField, KGrid, stack_unitarity_defect
 from .rmatrix import _values, berry_connection, central_difference, loop_phases
 
 LOOP_TOL = 1e-9  #: a closed-loop functional is a phase
@@ -121,11 +121,12 @@ def _two_band_generator(coeffs: np.ndarray, table: tuple, grid: KGrid,
                         kderiv: bool = False) -> tuple:
     """(h00, h11, h01) of a U(2) generator H(k_p) on the grid, or with
     ``kderiv`` of its k-derivative: the four real components h00, h11,
-    Re h01 and Im h01 of the stacked (2, modes + 1, 2, 2) coefficients are
-    summed by :func:`_fourier_series` in floats, with the bits of
-    :func:`_generator` at a quarter of its work."""
+    Re h01 and Im h01 of the stacked (2, modes + 1, ..., 2, 2) coefficients
+    are summed by :func:`_fourier_series` in floats, with the bits of
+    :func:`_generator` at a quarter of its work.  Each is shaped (..., N),
+    one generator per leading index of the coefficients."""
     parts = np.stack([coeffs[..., 0, 0].real, coeffs[..., 1, 1].real,
-                      coeffs[..., 0, 1].real, coeffs[..., 0, 1].imag], axis=-1)
+                      coeffs[..., 0, 1].real, coeffs[..., 0, 1].imag], axis=2)
     h00, h11, re, im = _fourier_series(*parts, table, grid, kderiv, dtype=float)
     return h00, h11, re + 1j * im
 
@@ -157,11 +158,15 @@ def _stack(entries: tuple) -> np.ndarray:
 
 def _two_band_similarity(u: tuple, m: tuple, pairs) -> list:
     """The entries (r, c) in ``pairs`` of U M U^dag, for U and M given as
-    2x2 entry tables, from explicit products: V = U M, then
+    2x2 entry tables, from explicit products: row r of V = U M is built
+    only for the rows ``pairs`` ask for, one row at a time, and then
     (U M U^dag)_rc = V_r0 conj(U_c0) + V_r1 conj(U_c1)."""
-    v = [[u[r][0] * m[0][j] + u[r][1] * m[1][j] for j in range(2)] for r in range(2)]
-    uc = [[x.conj() for x in row] for row in u]
-    return [v[r][0] * uc[c][0] + v[r][1] * uc[c][1] for r, c in pairs]
+    out = {}
+    for r in dict.fromkeys(r for r, _ in pairs):
+        v0, v1 = (u[r][0] * m[0][j] + u[r][1] * m[1][j] for j in range(2))
+        for c in (c for q, c in pairs if q == r):
+            out[r, c] = v0 * u[c][0].conj() + v1 * u[c][1].conj()
+    return [out[pair] for pair in pairs]
 
 
 def _exp_i(generator: np.ndarray) -> np.ndarray:
@@ -278,9 +283,9 @@ def trace_loop(matrix_field: np.ndarray, grid: KGrid) -> float:
     return float(_loop_sum(np.trace(_values(matrix_field), axis1=1, axis2=2), grid))
 
 
-def _loop_sum(values: np.ndarray, grid: KGrid) -> np.ndarray:
-    """Real part of the k-loop Riemann sum along axis 0, per remaining slice."""
-    return np.real(np.sum(values, axis=0) * grid.spacing)
+def _loop_sum(values: np.ndarray, grid: KGrid, axis: int = 0) -> np.ndarray:
+    """Real part of the k-loop Riemann sum along ``axis``, per remaining slice."""
+    return np.real(np.sum(values, axis=axis) * grid.spacing)
 
 
 @dataclass(frozen=True)
@@ -377,44 +382,81 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     of the connection (u M_bb u* + d_k xi) and of the ribbon (times u*),
     and the traced diagonal of U M U^dag (for NB = 2 from the explicit 2x2
     products of :func:`_two_band_similarity`, otherwise one einsum) plus
-    d_k tr H, the exact trace of U i d_k(U^dag).  The rows equal, bit for
-    bit, those of whole-field :func:`apply_gauge_to_field` and
-    :func:`gauge_transform` (:func:`similarity_transform` plus d_k tr H for
-    the trace loop).  A value that overflows (a huge ``scale``) raises
-    FloatingPointError.
+    d_k tr H, the exact trace of U i d_k(U^dag).  The seeds run in blocks
+    of whole seeds, as (seeds, N) arrays with the grid axis last: a block
+    holds at most ``ROW_BLOCK**2 / 2`` (seed, k) points and at least one
+    seed (2 seeds at N = 1024, 1 above N = 2048), so the audit holds
+    O(1) connection-sized stacks however many seeds it runs.  Each seed
+    draws its own coefficients, every step is elementwise along the seeds
+    (eigh runs seed by seed for NB != 2) and every k-sum runs over a
+    contiguous k axis, so a row does not depend on the block it is in.
+    The rows equal, bit for bit, those of whole-field
+    :func:`apply_gauge_to_field` and :func:`gauge_transform`
+    (:func:`similarity_transform` plus d_k tr H for the trace loop).  A
+    value that overflows (a huge ``scale``) raises FloatingPointError.
     """
-    grid, nb, dk = field.grid, field.n_bands, field.grid.spacing
+    grid = field.grid
     conn = berry_connection(field).values
     names = ("diagonal_value", "diagonal_loop", "trace_loop", "berry_phase")
     tolerances = (DIAGONAL_VALUE_TOL * grid.spec.lattice_constant, LOOP_TOL, LOOP_TOL, LOOP_TOL)
     before = (diagonal_value(conn, band, kindex), diagonal_loop(conn, band, grid),
               trace_loop(conn, grid), berry_phase(field, band))
     table = _mode_table(grid, modes)
-    conn_entries = _entries(conn) if nb == 2 else None
+    conn_entries = _entries(conn) if field.n_bands == 2 else None
+    step = max(1, ROW_BLOCK ** 2 // (2 * grid.n))
     reports = []
-    for gauge_seed in range(seed, seed + seeds):
-        coeffs = _fourier_coefficients(nb, modes, gauge_seed, scale, True)
-        xi = _fourier_series(*coeffs[:, :, band, band], table, grid)
-        u = np.exp(1j * xi)
-        a_bb = np.einsum("p,p,p->p", u, conn[:, band, band], u.conj()) \
-            + central_difference(xi, dk)
-        coeffs = _fourier_coefficients(nb, modes, gauge_seed + 10_000, scale, False)
-        if nb == 2:
-            h00, h11, h01 = _two_band_generator(coeffs, table, grid)
-            s00, s11 = _two_band_similarity(_su2_exp(h00, h11, h01), conn_entries,
-                                            ((0, 0), (1, 1)))
-            # tr H is differenced in complex, as the trace of the generator
-            # stack is: a complex divide rounds apart from a float one
-            traced, trace_h = s00 + s11, (h00 + h11).astype(complex)
-        else:
-            gen = _generator(coeffs, table, grid)
-            full = _exp_i(gen)
-            traced = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1)
-            trace_h = np.trace(gen, axis1=1, axis2=2)
-        traced = traced + central_difference(trace_h, dk)
-        after = (complex(a_bb[kindex]), float(_loop_sum(a_bb, grid)),
-                 float(_loop_sum(traced, grid)),
-                 float(loop_phases(np.einsum("pl,p->pl", field.coeffs[:, :, band], u.conj()))))
-        reports += [InvarianceReport(name, band, gauge_seed, b, a, tol) for name, b, a, tol
-                    in zip(names, before, after, tolerances)]
+    for s0 in range(seed, seed + seeds, step):
+        block = range(s0, min(s0 + step, seed + seeds))
+        value, loop, phase = _phase_gauge_rows(field, conn, band, kindex, block, modes, scale,
+                                               table)
+        traced = _traced_loops(conn, conn_entries, block, modes, scale, table, grid)
+        for row, gauge_seed in enumerate(block):
+            after = (complex(value[row]), float(loop[row]), float(traced[row]),
+                     float(phase[row]))
+            reports += [InvarianceReport(name, band, gauge_seed, b, a, tol) for name, b, a, tol
+                        in zip(names, before, after, tolerances)]
     return reports
+
+
+def _phase_gauge_rows(field: BlochField, conn: np.ndarray, band: int, kindex: int,
+                      block: range, modes: int, scale: float, table: tuple) -> tuple:
+    """The U(1)^NB rows of :func:`gauge_audit` for the gauge seeds of
+    ``block``, each shaped (seeds,): the band's connection entry
+    u M_bb u* + d_k xi at ``kindex`` and its loop, and the re-gauged
+    ribbon's Berry phase; no (seeds, N) array outlives the call."""
+    grid, nb = field.grid, field.n_bands
+    coeffs = np.stack([_fourier_coefficients(nb, modes, s, scale, True)[:, :, band, band]
+                       for s in block], axis=-1)
+    xi = _fourier_series(*coeffs, table, grid)
+    u = np.exp(1j * xi)
+    a_bb = np.einsum("sp,p,sp->sp", u, conn[:, band, band], u.conj())
+    a_bb += central_difference(xi, grid.spacing, axis=-1)
+    return (a_bb[:, kindex].copy(), _loop_sum(a_bb, grid, axis=-1),
+            loop_phases(np.einsum("pl,sp->psl", field.coeffs[:, :, band], u.conj())))
+
+
+def _traced_loops(conn: np.ndarray, conn_entries, block: range, modes: int, scale: float,
+                  table: tuple, grid: KGrid) -> np.ndarray:
+    """The U(NB) rows of :func:`gauge_audit` for the gauge seeds ``block +
+    10000``, shaped (seeds,): the loop of the traced diagonal of U M U^dag
+    plus d_k tr H.  NB = 2 (``conn_entries`` given) takes the closed form
+    for the whole block, any other NB eigh seed by seed."""
+    nb = conn.shape[-1]
+    coeffs = [_fourier_coefficients(nb, modes, s + 10_000, scale, False) for s in block]
+    if conn_entries is not None:
+        h00, h11, h01 = _two_band_generator(np.stack(coeffs, axis=2), table, grid)
+        s00, s11 = _two_band_similarity(_su2_exp(h00, h11, h01), conn_entries,
+                                        ((0, 0), (1, 1)))
+        # tr H is differenced in complex, as the trace of the generator
+        # stack is: a complex divide rounds apart from a float one
+        traced, trace_h = s00 + s11, (h00 + h11).astype(complex)
+    else:
+        traced = np.empty((len(block), grid.n), dtype=complex)
+        trace_h = np.empty_like(traced)
+        for row, c in enumerate(coeffs):
+            gen = _generator(c, table, grid)
+            full = _exp_i(gen)
+            traced[row] = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1)
+            trace_h[row] = np.trace(gen, axis1=1, axis2=2)
+    traced += central_difference(trace_h, grid.spacing, axis=-1)
+    return _loop_sum(traced, grid, axis=-1)

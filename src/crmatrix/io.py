@@ -119,7 +119,7 @@ def _layouts() -> tuple:
         bodies.append(body)
     bodies.append([(char["0"], -1)])
     cells = [[(char["-"], -1)] * neg + body for body in bodies for neg in (0, 1)]
-    rows = np.array([[b for b, _ in row] + [0] * (23 - len(row)) for row in cells], dtype=np.uint8)
+    rows = np.array([[b for b, _ in row] + [0] * (23 - len(row)) for row in cells], dtype=np.intp)
     places = np.array([[p for _, p in row] + [99] * (23 - len(row)) for row in cells],
                       dtype=np.int8)
     lengths = np.array([len(row) for row in cells])
@@ -198,7 +198,8 @@ def _real_cells(x: np.ndarray) -> tuple:
     source[:, :5] = words.take(quads).T
     source[:, 5:] = np.frombuffer(_ALPHABET, dtype=np.uint32)
     width = lengths[code].max()
-    index = rows[:, :width].take(code, axis=0) + (np.arange(len(x)) * 36)[:, None]
+    index = rows[:, :width].take(code, axis=0)
+    index += (np.arange(len(x)) * 36)[:, None]
     text = source.view(np.uint8).reshape(-1).take(index)
     return text, places[:, :width].take(code, axis=0) < sig[:, None], exact | zero
 

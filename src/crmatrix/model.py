@@ -373,9 +373,11 @@ def _eigen_decompose(source, shape: tuple):
     ribbon is discontinuous at a degeneracy and silent reordering would
     hide it.  Both limits are maxima over the whole stack.  A stack whose
     Hermiticity difference, energies or eigenvalue gaps overflow the float
-    range raises FloatingPointError.  NB = 2 takes the closed form of
-    :func:`_two_band_eigh`; every other NB takes ``np.linalg.eigh`` and
-    :func:`fix_phase_gauge`.
+    range raises FloatingPointError; so does a finite entry whose modulus
+    overflows, named with its index and value once every block has passed
+    the non-finite check, so a non-finite entry anywhere wins.  NB = 2
+    takes the closed form of :func:`_two_band_eigh`; every other NB takes
+    ``np.linalg.eigh`` and :func:`fix_phase_gauge`.
     """
     if not callable(source):
         stack = np.asarray(source)
@@ -387,10 +389,11 @@ def _eigen_decompose(source, shape: tuple):
     coeffs, energies = np.empty((n, nb, nb), dtype=complex), np.empty((n, nb))
     defect, gap = np.empty(n), np.empty(n)
     h_max = e_max = 0.0
+    overflow = None
     for rows, block in _row_blocks(points):
         hk = np.asarray(source(rows), dtype=complex).reshape(-1, nb, nb)
-        # a finite entry's modulus may overflow to inf; only a non-finite entry
-        # is an error here
+        # a finite entry's modulus may overflow to inf: that is named once
+        # every block has passed the non-finite check, which comes first
         with np.errstate(over="ignore", invalid="ignore"):
             top = np.max(np.abs(hk), initial=0.0)
         if not np.isfinite(top):
@@ -400,6 +403,15 @@ def _eigen_decompose(source, shape: tuple):
                 index = np.unravel_index(block.start + at, points)
                 raise ValueError(f"hamiltonian at {_where(index)} "
                                  f"has a non-finite entry {(i, j)}: {hk[at, i, j]}")
+            if overflow is None:
+                with np.errstate(over="ignore"):
+                    at, i, j = _first(np.isinf(np.abs(hk)))
+                index = np.unravel_index(block.start + at, points)
+                overflow = FloatingPointError(f"hamiltonian at {_where(index)} has an entry "
+                                              f"{(i, j)} whose modulus overflows: "
+                                              f"{hk[at, i, j]}")
+        if overflow is not None:
+            continue
         h_max = max(h_max, top)
         _stack_hermiticity_defect(hk, defect[block])
         if nb == 2:
@@ -409,6 +421,8 @@ def _eigen_decompose(source, shape: tuple):
             coeffs[block] = _fix_phase_in_place(vectors)
         gap[block] = np.min(np.diff(energies[block], axis=-1), axis=-1, initial=np.inf)
         e_max = max(e_max, np.max(np.abs(energies[block]), initial=0.0))
+    if overflow is not None:
+        raise overflow
     defect, gap = defect.reshape(points), gap.reshape(points)
     limit = HERMITICITY_TOL * h_max
     if np.any(defect > limit):

@@ -25,10 +25,22 @@ ZERO_OVERLAP_TOL = 1e-12  #: a link overlap below this modulus has no phase
 
 
 def central_difference(values: np.ndarray, spacing: float, axis: int = 0) -> np.ndarray:
-    """Central difference with periodic wrap along ``axis``."""
-    fwd = np.roll(values, -1, axis=axis)
-    bwd = np.roll(values, 1, axis=axis)
-    return (fwd - bwd) / (2.0 * spacing)
+    """Central difference with periodic wrap along ``axis``: v[i+1] - v[i-1]
+    written by slices into one array laid out as ``values``, the two
+    wrapped ends included, then divided by 2 spacing (in place unless the
+    divide promotes, as integer input does)."""
+    values = np.asarray(values)
+    diff = np.empty_like(values)
+    v, d = values.swapaxes(0, axis), diff.swapaxes(0, axis)
+    n = len(v)
+    if n:
+        np.subtract(v[2:], v[:-2], out=d[1:-1])
+        np.subtract(v[1 % n:1 % n + 1], v[n - 1:], out=d[:1])
+        np.subtract(v[:1], v[(n - 2) % n:(n - 2) % n + 1], out=d[n - 1:])
+    scale = 2.0 * spacing
+    if np.result_type(diff, scale) == diff.dtype:
+        return np.divide(diff, scale, out=diff)
+    return diff / scale
 
 
 @dataclass(frozen=True)

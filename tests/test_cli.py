@@ -460,6 +460,9 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
     ("connection", {"hamiltonian": [["1", "1.5e308*(1+j)"], ["1.5e308*(1-j)", "0/(k-k)"]]},
      {}, {}, "model.hamiltonian: hamiltonian at k index 0 has a non-finite entry (1, 1): "
              "(nan+0j)\n"),
+    ("connection", {"hamiltonian": [["1", "1.5e308*(1+j)"], ["1.5e308*(1-j)", "0"]]}, {}, {},
+     "model.hamiltonian overflows a float: hamiltonian at k index 0 has an entry (0, 1) "
+     "whose modulus overflows: (1.5e+308+1.5e+308j)\n"),
     ("berry-phase", None, {"band": 1, "bands": [0]}, {}, "task.params.bands"),
     ("incompleteness", CHAIN, {"n_max_list": []}, {}, "task.params.n_max_list"),
     ("berry-phase", None, {"bands": []}, {}, "task.params.bands"),
@@ -478,7 +481,7 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
         "scale-draws-overflow", "scale-generator-overflows", "amplitude-square-overflows",
         "one-window-no-fit", "pump-gap-overflows", "hamiltonian-gap-overflows",
         "hamiltonian-difference-overflows", "hamiltonian-imaginary-diagonal-overflows",
-        "hamiltonian-nan-past-an-overflowing-modulus",
+        "hamiltonian-nan-past-an-overflowing-modulus", "hamiltonian-modulus-overflows",
         "band-and-bands", "n_max_list-empty", "bands-empty", "dtheta-without-dphi",
         "dphi-without-dtheta"])
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):

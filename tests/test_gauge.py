@@ -565,8 +565,9 @@ def test_gauge_audit_trivial_and_constant_gauges(modes, scale):
 
 def test_gauge_audit_memory_is_per_seed():
     """The audit holds O(1) connection-sized stacks, not one per seed: its
-    tracemalloc peak at N=1024 over 20 seeds measures 10x one (N, NB, NB)
-    complex stack (the whole-field reference measures 15.6x)."""
+    tracemalloc peak at N=1024 over 20 seeds, in blocks of 2 seeds,
+    measures 10.1x one (N, NB, NB) complex stack (the whole-field
+    reference measures 15.6x)."""
     gauge_audit(smooth_field(n_cells=16), 0, 1, 3, 0.2)  # first-call allocations
     field = generic_two_band(LatticeSpec(n_cells=1024, lattice_constant=1.0, n_bands=2))
     stack = field.n_k * field.n_bands ** 2 * np.dtype(complex).itemsize
@@ -577,6 +578,30 @@ def test_gauge_audit_memory_is_per_seed():
     finally:
         tracemalloc.stop()
     assert peak <= 13 * stack
+
+
+def report_fields(rows):
+    """Every field of each report, floats by repr, so -0.0 and 0.0 differ."""
+    return [(r.name, r.band, r.seed, repr(r.before), repr(r.after), repr(r.tolerance))
+            for r in rows]
+
+
+@pytest.mark.parametrize("field, args", [
+    (lambda: generic_two_band(LatticeSpec(1024, 1.0, 2)), (7, 1, 3, 0.2)),
+    (lambda: generic_two_band(LatticeSpec(1024, 1.0, 2)), (7, 2, 3, 0.2)),
+    (lambda: generic_two_band(LatticeSpec(1024, 1.0, 2)), (7, 3, 3, 0.2)),
+    (lambda: generic_two_band(LatticeSpec(1024, 1.0, 2)), (7, 5, 3, 0.2)),
+    (lambda: graphene_loop(LatticeSpec(512, 1.0, 2), mass=0.3), (91, 7, 4, 0.2)),
+    (lambda: generic_two_band(LatticeSpec(4096, 1.0, 2)), (2, 3, 3, 0.2)),
+    (lambda: generic_two_band(LatticeSpec(1024, 1.0, 2)), (40, 5, 3, 0.2, 1, 613)),
+], ids=["N1024-1-seed", "N1024-2-seeds", "N1024-3-seeds", "N1024-5-seeds",
+        "graphene-N512-modes4-7-seeds", "N4096-3-seeds", "band1-kindex613"])
+def test_gauge_audit_seed_blocks_equal_the_per_seed_reference(field, args):
+    """Seed blocks (2 seeds at N = 1024, 4 at N = 512, 1 at N = 4096) give
+    every field of every report the value of the per-seed whole-field
+    reference, whatever block, or place in a block, a seed falls on."""
+    f = field()
+    assert report_fields(gauge_audit(f, *args)) == report_fields(ref_gauge_audit(f, *args))
 
 
 @pytest.mark.parametrize("field, modes", [
@@ -700,6 +725,38 @@ def test_two_band_sandwich_matches_einsum_with_eigh(entries):
     limit = 64 * np.finfo(float).eps * (1 + np.max(np.abs(h), axis=(1, 2))) \
         * np.max(np.abs(mat), axis=(1, 2))
     assert np.all(np.max(np.abs(sandwich - want), axis=(1, 2)) <= limit)
+
+
+def written_out_similarity(u, m):
+    """U M U^dag of 2x2 entry tables by the written-out products: every
+    entry of V = U M, then (V U^dag)_rc = V_r0 conj(U_c0) + V_r1 conj(U_c1)."""
+    v = [[u[r][0] * m[0][j] + u[r][1] * m[1][j] for j in range(2)] for r in range(2)]
+    return {(r, c): v[r][0] * u[c][0].conj() + v[r][1] * u[c][1].conj()
+            for r in range(2) for c in range(2)}
+
+
+@pytest.mark.parametrize("pairs", [((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 0), (1, 1)),
+                                   ((1, 1), (0, 1))], ids=["full", "diagonal", "out-of-order"])
+@pytest.mark.parametrize("seeds", [0, 3], ids=["one-gauge", "a-block-of-3-gauges"])
+def test_two_band_similarity_equals_the_written_out_products(pairs, seeds):
+    """V = U M built a row at a time, only for the rows asked for, gives
+    each entry the bytes of the written-out 2x2 products, for one gauge's
+    (N,) entries and for a block's (seeds, N) entries against (N,) ones;
+    similarity_transform stacks the full set."""
+    grid = grid_of(96)
+    conn = berry_connection(generic_two_band(grid.spec)).values
+    gauges = [random_gauge_field(2, grid, 3, seed=s + 10_000) for s in range(max(seeds, 1))]
+    if seeds:
+        u = tuple(tuple(np.stack([_entries(g.unitaries)[r][c] for g in gauges])
+                        for c in range(2)) for r in range(2))
+    else:
+        u = _entries(gauges[0].unitaries)
+    want = written_out_similarity(u, _entries(conn))
+    got = _two_band_similarity(u, _entries(conn), pairs)
+    assert [x.tobytes() for x in got] == [want[pair].tobytes() for pair in pairs]
+    if not seeds:
+        stacked = _stack(((want[0, 0], want[0, 1]), (want[1, 0], want[1, 1])))
+        assert similarity_transform(conn, gauges[0]).tobytes() == stacked.tobytes()
 
 
 @pytest.mark.parametrize("nb", [1, 3])

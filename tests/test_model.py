@@ -441,13 +441,15 @@ def test_non_finite_entry_is_named_past_an_overflowing_modulus(bad, overflow, me
     ({(0, 0): 1e308, (1, 1): -1e308}, FloatingPointError, None),  # the gap overflows
     ({(0, 1): 1e308, (1, 0): -1e308}, FloatingPointError, None),  # H - H^dag overflows
     ({(0, 0): 1e308j}, FloatingPointError, None),  # its diagonal overflows
-    ({(0, 1): OVERFLOWS, (1, 0): np.conj(OVERFLOWS)}, DegenerateRibbon,
-     "eigenvalue gap 2.000e+00 is not above its limit inf at k index 0, lambda index 0"),
+    ({(0, 1): OVERFLOWS, (1, 0): np.conj(OVERFLOWS)}, FloatingPointError,
+     "hamiltonian at k index 60, lambda index 10 has an entry (0, 1) whose modulus overflows: "
+     "(1.5e+308+1.5e+308j)"),
 ], ids=["gap", "hermiticity-difference", "imaginary-diagonal", "modulus-only"])
 def test_finite_overflowing_stacks_raise_as_before(entries, error, message):
     """A finite stack that overflows in the Hermiticity difference or the
-    gaps raises FloatingPointError; one whose only overflow is |H| passes
-    the guards with max|H| = inf and meets the gap guard's infinite limit."""
+    gaps raises FloatingPointError; so does one whose only overflow is |H|,
+    naming the first entry whose modulus overflows, with its index and
+    value."""
     grid = build_kgrid(LatticeSpec(n_cells=64, lattice_constant=1.0, n_bands=2))
     hk = qwz_hamiltonian(-1.0)(*np.meshgrid(grid.points, np.arange(80) / 80, indexing="ij"))
     for (i, j), value in entries.items():

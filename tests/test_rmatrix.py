@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crmatrix import (BlochField, LatticeSpec, NonHermitianInput,
-                      berry_connection, build_kgrid,
+                      berry_connection, build_kgrid, central_difference,
                       crystal_momentum_matrix, position_matrix,
                       position_momentum_commutator, position_phase_sum,
                       random_gauge_field, reduced_position_matrix,
@@ -42,6 +42,28 @@ def test_band_overlap_closed_forms():
         # the conjugation structure of the overlap factor
         assert abs(k[1, 1] - np.conj(k11)) < 1e-12
         assert abs(k[1, 0] + np.conj(k12)) < 1e-12
+
+
+def rolled_difference(values, spacing, axis):
+    """The central difference from two rolled copies."""
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * spacing)
+
+
+@pytest.mark.parametrize("shape, axis", [
+    ((7,), 0), ((1,), 0), ((2,), -1), ((5, 3, 2), 0), ((5, 3, 2), 1), ((5, 3, 2), -1),
+    ((3, 6), 1), ((3, 6), -1), ((4, 1024), -1), ((1, 4), 0), ((2, 4), 0), ((0, 3), 0),
+])
+def test_central_difference_equals_the_rolled_form(shape, axis):
+    """Written by slices, the wrapped difference has the bytes, dtype and
+    shape of the rolled form, for float, complex, integer (which still
+    promotes to float) and transposed input."""
+    rng = np.random.default_rng(len(shape) * 10 + axis)
+    real = rng.normal(size=shape)
+    for values in (real, real + 1j * rng.normal(size=shape),
+                   np.round(100 * real).astype(np.int64), rng.normal(size=shape[::-1]).T):
+        got = central_difference(values, 0.3, axis=axis)
+        want = rolled_difference(values, 0.3, axis)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_connection_constant_field_vanishes():
