@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from . import _su2
 from .model import ROW_BLOCK, BlochField, KGrid, stack_unitarity_defect
 from .rmatrix import _values, berry_connection, central_difference, loop_phases
 
@@ -131,52 +132,6 @@ def _two_band_generator(coeffs: np.ndarray, table: tuple, grid: KGrid,
     return h00, h11, re + 1j * im
 
 
-def _su2_exp(h00: np.ndarray, h11: np.ndarray, h01: np.ndarray) -> tuple:
-    """exp(i H) of H = [[h00, h01], [conj h01, h11]] per point, as the entry
-    table ((u00, u01), (u10, u11)) of (N,) arrays, in SU(2) closed form:
-    with H = t I + b.sigma, exp(i H) = e^{i t} [cos|b| I + i (sin|b| / |b|)
-    (H - t I)], where sin|b| / |b| is taken as 1 at b = 0."""
-    t = (h00 + h11) / 2.0
-    b = np.hypot((h00 - h11) / 2.0, np.abs(h01))
-    sinc = np.divide(np.sin(b), b, out=np.ones_like(b), where=b != 0.0)
-    phase = np.exp(1j * t)
-    c, s = phase * np.cos(b), phase * (1j * sinc)
-    return (c + s * (h00 - t), s * h01), (s * h01.conj(), c + s * (h11 - t))
-
-
-def _entries(stack: np.ndarray) -> tuple:
-    """The entry table ((x00, x01), (x10, x11)) of an (N, 2, 2) stack, each
-    entry a contiguous (N,) array."""
-    return tuple(tuple(np.ascontiguousarray(stack[:, m, n]) for n in range(2))
-                 for m in range(2))
-
-
-def _stack(entries: tuple) -> np.ndarray:
-    """The (N, 2, 2) stack of a 2x2 entry table."""
-    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
-
-
-def _two_band_similarity(u: tuple, m: tuple, pairs) -> list:
-    """The entries (r, c) in ``pairs`` of U M U^dag, for U and M given as
-    2x2 entry tables, from explicit products: row r of V = U M is built
-    only for the rows ``pairs`` ask for, one row at a time, and then
-    (U M U^dag)_rc = V_r0 conj(U_c0) + V_r1 conj(U_c1)."""
-    out = {}
-    for r in dict.fromkeys(r for r, _ in pairs):
-        v0, v1 = (u[r][0] * m[0][j] + u[r][1] * m[1][j] for j in range(2))
-        for c in (c for q, c in pairs if q == r):
-            out[r, c] = v0 * u[c][0].conj() + v1 * u[c][1].conj()
-    return [out[pair] for pair in pairs]
-
-
-def _exp_i(generator: np.ndarray) -> np.ndarray:
-    """exp(i H) of a Hermitian (N, NB, NB) stack by one stacked eigh,
-    V e^{i w} V^dag: the U(NB) exponential off NB = 2, where
-    :func:`_su2_exp` takes the closed form."""
-    w, v = np.linalg.eigh(generator)
-    return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
-
-
 @np.errstate(over="raise", invalid="raise")
 def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
                        scale: float = 0.3, diagonal: bool = False) -> GaugeField:
@@ -184,30 +139,25 @@ def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
 
     modes=0 gives a k-independent unitary.  ``diagonal=True`` restricts
     every Fourier coefficient to a real diagonal matrix, producing a
-    U(1)^NB phase field, exp(i H) entry by entry; otherwise U = exp(i H)
-    is taken in closed form for NB = 2, from the real components of
-    :func:`_two_band_generator` as :func:`gauge_audit` takes it, and by
-    eigh for any other NB.  Fixed seed means a bitwise reproducible field.
-    A value that overflows (a huge ``scale``) raises FloatingPointError, as
-    in :func:`gauge_audit`.
+    U(1)^NB phase field, exp(i H) entry by entry; otherwise U is
+    :func:`_su2.expm_i` of H, for NB = 2 built from the real components of
+    :func:`_two_band_generator` as :func:`gauge_audit` builds it.  Fixed
+    seed means a bitwise reproducible field.  A value that overflows (a
+    huge ``scale``) raises FloatingPointError, as in :func:`gauge_audit`.
     """
     coeffs = _fourier_coefficients(n_bands, modes, seed, scale, diagonal)
     table = _mode_table(grid, modes)
     if n_bands == 2 and not diagonal:
-        h00, h11, h01 = _two_band_generator(coeffs, table, grid)
-        d00, d11, d01 = _two_band_generator(coeffs, table, grid, kderiv=True)
-        return GaugeField(grid=grid, unitaries=_stack(_su2_exp(h00, h11, h01)),
-                          generator=_stack(((h00, h01), (h01.conj(), h11))),
-                          generator_kderiv=_stack(((d00, d01), (d01.conj(), d11))),
-                          diagonal=False)
-    gen = _generator(coeffs, table, grid)
+        gen, dgen = (_su2.stack(((h00, h01), (h01.conj(), h11))) for h00, h11, h01
+                     in (_two_band_generator(coeffs, table, grid, d) for d in (False, True)))
+    else:
+        gen, dgen = (_generator(coeffs, table, grid, d) for d in (False, True))
     if diagonal:
         unitaries, m = np.zeros_like(gen), np.arange(n_bands)
         unitaries[:, m, m] = np.exp(1j * gen[:, m, m])
     else:
-        unitaries = _exp_i(gen)
-    return GaugeField(grid=grid, unitaries=unitaries, generator=gen,
-                      generator_kderiv=_generator(coeffs, table, grid, kderiv=True),
+        unitaries = _su2.expm_i(gen)
+    return GaugeField(grid=grid, unitaries=unitaries, generator=gen, generator_kderiv=dgen,
                       diagonal=diagonal)
 
 
@@ -215,7 +165,7 @@ def similarity_transform(matrix_field: np.ndarray, gauge: GaugeField) -> np.ndar
     """Per-k similarity transform U O U^dag (the associative-operator rule).
 
     A non-diagonal NB = 2 gauge takes the explicit 2x2 products of
-    :func:`_two_band_similarity`, as the U(NB) row of :func:`gauge_audit`
+    :func:`_su2.sandwich`, as the U(NB) row of :func:`gauge_audit`
     does; a diagonal gauge or any other NB takes one einsum."""
     vals = _values(matrix_field)
     u = gauge.unitaries
@@ -223,9 +173,8 @@ def similarity_transform(matrix_field: np.ndarray, gauge: GaugeField) -> np.ndar
         raise ValueError(f"shape mismatch: field {vals.shape} vs gauge {u.shape}")
     if u.shape[-1] != 2 or gauge.diagonal:
         return np.einsum("pmi,pij,pnj->pmn", u, vals, u.conj())
-    s00, s01, s10, s11 = _two_band_similarity(_entries(u), _entries(vals),
-                                              ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return _stack(((s00, s01), (s10, s11)))
+    s = _su2.sandwich(_su2.entries(u), _su2.entries(vals), tuple(np.ndindex(2, 2)))
+    return _su2.stack((s[:2], s[2:]))
 
 
 def gauge_inhomogeneous_term(gauge: GaugeField) -> np.ndarray:
@@ -355,8 +304,9 @@ class InvarianceReport:
     tolerance: float
 
     @property
-    def delta(self) -> float:
-        return abs(self.after - self.before)
+    def delta(self) -> float:  # a Berry phase is an angle: round-off may carry it across pi
+        d = abs(self.after - self.before)
+        return min(d, 2.0 * np.pi - d) if self.name == "berry_phase" else d
 
     @property
     def invariant(self) -> bool:
@@ -370,18 +320,17 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
 
     Gauge seed ``seed + s`` draws a U(1)^NB field and ``seed + s + 10000`` a
     U(NB) field U = exp(i H), as :func:`random_gauge_field` does: for NB = 2
-    from the real components of H by :func:`_su2_exp`, by eigh for any other
+    from the real components of H by :func:`_su2.exp_i`, by eigh for any other
     NB; the mode angle table is built once per call.  Each seed gives four
-    :class:`InvarianceReport` rows: ``diagonal_value`` (the connection's
-    band entry at ``kindex``, moved by d_k xi by design; limit
-    ``DIAGONAL_VALUE_TOL * a``), ``diagonal_loop`` and the re-gauged
-    ribbon's ``berry_phase`` under U(1)^NB, ``trace_loop`` under U(NB);
-    loops within ``LOOP_TOL``.
+    :class:`InvarianceReport` rows: ``diagonal_value`` (the connection's band
+    entry at ``kindex``, moved by d_k xi by design; its limit is
+    ``DIAGONAL_VALUE_TOL * a``), ``diagonal_loop`` and the re-gauged ribbon's
+    ``berry_phase`` under U(1)^NB, ``trace_loop`` under U(NB); limit ``LOOP_TOL``.
 
     Only what the rows read is computed: per seed the band column of xi,
     of the connection (u M_bb u* + d_k xi) and of the ribbon (times u*),
     and the traced diagonal of U M U^dag (for NB = 2 from the explicit 2x2
-    products of :func:`_two_band_similarity`, otherwise one einsum) plus
+    products of :func:`_su2.sandwich`, otherwise one einsum) plus
     d_k tr H, the exact trace of U i d_k(U^dag).  The seeds run in blocks
     of whole seeds, as (seeds, N) arrays with the grid axis last: a block
     holds at most ``ROW_BLOCK**2 / 2`` (seed, k) points and at least one
@@ -402,7 +351,7 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     before = (diagonal_value(conn, band, kindex), diagonal_loop(conn, band, grid),
               trace_loop(conn, grid), berry_phase(field, band))
     table = _mode_table(grid, modes)
-    conn_entries = _entries(conn) if field.n_bands == 2 else None
+    conn_entries = _su2.entries(conn) if field.n_bands == 2 else None  # not per block: 30 % slower
     step = max(1, ROW_BLOCK ** 2 // (2 * grid.n))
     reports = []
     for s0 in range(seed, seed + seeds, step):
@@ -445,8 +394,7 @@ def _traced_loops(conn: np.ndarray, conn_entries, block: range, modes: int, scal
     coeffs = [_fourier_coefficients(nb, modes, s + 10_000, scale, False) for s in block]
     if conn_entries is not None:
         h00, h11, h01 = _two_band_generator(np.stack(coeffs, axis=2), table, grid)
-        s00, s11 = _two_band_similarity(_su2_exp(h00, h11, h01), conn_entries,
-                                        ((0, 0), (1, 1)))
+        s00, s11 = _su2.sandwich(_su2.exp_i(h00, h11, h01), conn_entries, ((0, 0), (1, 1)))
         # tr H is differenced in complex, as the trace of the generator
         # stack is: a complex divide rounds apart from a float one
         traced, trace_h = s00 + s11, (h00 + h11).astype(complex)
@@ -455,7 +403,7 @@ def _traced_loops(conn: np.ndarray, conn_entries, block: range, modes: int, scal
         trace_h = np.empty_like(traced)
         for row, c in enumerate(coeffs):
             gen = _generator(c, table, grid)
-            full = _exp_i(gen)
+            full = _su2.expm_i(gen)
             traced[row] = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1)
             trace_h[row] = np.trace(gen, axis1=1, axis2=2)
     traced += central_difference(trace_h, grid.spacing, axis=-1)

@@ -16,6 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _su2
+from ._su2 import two_band_columns  # part of this module's API
 from .errors import DegenerateRibbon
 
 UNITARITY_TOL = 1e-12
@@ -151,28 +153,6 @@ def stack_unitarity_defect(mats: np.ndarray) -> float:
     return float(np.max(np.abs(g - np.eye(mats.shape[1]))))
 
 
-def two_band_columns(theta, phi) -> np.ndarray:
-    """Two-band column matrices, shape ``theta.shape + (2, 2)``.
-
-    Column 0 is (cos(t/2), sin(t/2) e^{i phi}); column 1 is
-    (-sin(t/2) e^{-i phi}, cos(t/2)).  The second entry of column 1 uses
-    cos(t/2): that is the unique completion making the columns orthonormal
-    and reproducing the closed-form band overlaps.  A non-finite angle, or
-    theta outside [0, pi], is a ValueError.
-    """
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
-        raise ValueError("angle functions produced non-finite values on the grid")
-    if np.any(theta < -1e-12) or np.any(theta > np.pi + 1e-12):
-        raise ValueError("theta must stay within [0, pi] on the grid")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    coeffs = np.empty(np.shape(c) + (2, 2), dtype=complex)
-    coeffs[..., 0, 0] = c
-    coeffs[..., 1, 0] = s * np.exp(1j * phi)
-    coeffs[..., 0, 1] = -s * np.exp(-1j * phi)
-    coeffs[..., 1, 1] = c
-    return coeffs
-
-
 def two_band_field(grid: KGrid, theta, phi, dtheta=None, dphi=None,
                    energies: Optional[np.ndarray] = None) -> BlochField:
     """Closed-form two-band ribbon from Bloch-sphere angles on
@@ -189,15 +169,12 @@ def two_band_field(grid: KGrid, theta, phi, dtheta=None, dphi=None,
 
     dcoeffs = None
     if dtheta is not None and dphi is not None:
-        c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-        eip, eim = np.exp(1j * ph), np.exp(-1j * ph)
         dth, dph = np.asarray(dtheta, dtype=float), np.asarray(dphi, dtype=float)
         if not (np.all(np.isfinite(dth)) and np.all(np.isfinite(dph))):
             raise ValueError("angle derivatives produced non-finite values on the grid")
-        dcoeffs = np.empty_like(coeffs)
-        dcoeffs[:, 0, 0] = dcoeffs[:, 1, 1] = -s * dth / 2.0
-        dcoeffs[:, 1, 0] = (c * dth / 2.0 + 1j * s * dph) * eip
-        dcoeffs[:, 0, 1] = (-c * dth / 2.0 + 1j * s * dph) * eim
+        c, s = np.cos(th / 2.0), np.sin(th / 2.0)
+        dcoeffs = _su2.stack(((-s * dth / 2.0, (-c * dth / 2.0 + 1j * s * dph) * np.exp(-1j * ph)),
+                              ((c * dth / 2.0 + 1j * s * dph) * np.exp(1j * ph), -s * dth / 2.0)))
 
     return BlochField(grid=grid, coeffs=coeffs, energies=energies, dcoeffs=dcoeffs)
 
@@ -246,88 +223,7 @@ def fix_phase_gauge(coeffs: np.ndarray) -> np.ndarray:
     and positive (ties broken by lowest index, which is what argmax does).
     Idempotent: a column already in this gauge is returned bit-identical.
     """
-    return _fix_phase_in_place(np.array(coeffs, dtype=complex))
-
-
-def _fix_phase_in_place(coeffs: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(coeffs), axis=-2)[..., None, :]
-    z = np.take_along_axis(coeffs, idx, axis=-2)
-    flip = (z.imag != 0.0) | (z.real < 0.0)
-    # numpy's scalar abs(z) is hypot(re, im); np.abs on an array can differ by an ulp
-    modulus = np.hypot(z.real, z.imag)
-    factor = z.conjugate()
-    np.divide(factor, modulus, out=factor, where=flip)
-    np.multiply(coeffs, factor, out=coeffs, where=flip)
-    # pin the pivot so a second pass finds it exactly real-positive
-    np.copyto(z, modulus, where=flip)
-    np.put_along_axis(coeffs, idx, z, axis=-2)
-    return coeffs
-
-
-def _two_band_eigh(hk: np.ndarray, energies: np.ndarray, coeffs: np.ndarray) -> None:
-    """``np.linalg.eigh`` and :func:`fix_phase_gauge` of a Hermitian (P, 2, 2)
-    stack in closed form, written into ``energies`` (P, 2) and ``coeffs``
-    (P, 2, 2).
-
-    Like eigh, it reads the real diagonal and the lower entry c = H[1, 0]:
-    H - t I = [[d, c*], [c, -d]] with t, d the half sum and half difference
-    of the diagonal.  The energies are t -+ r, r = hypot(d, |c|).  Each column
-    has one component of modulus L = sqrt((1 + |d| / r) / 2), put real and
-    positive, and the other s = (c / r) / 2L or its conjugate, up to sign; L
-    is raised to just above |s| where round-off would make s the larger, so
-    the columns are already in the gauge of :func:`fix_phase_gauge`, the
-    first component winning a tie (d = 0).  Nothing cancels, so the energies
-    are within 8 eps max|H| of eigh's and the columns within 16 eps max|H| /
-    gap, except near a tie (|d| up to about 32 eps max|H|), where the pivot
-    of eigh's column is itself round-off.  Where r is below 2**-900 the
-    columns are taken from d and c scaled by 2**600, exactly, so subnormal
-    entries keep the column bound, and the energies are off by at most a few
-    subnormal steps more.  r = 0 (a scalar matrix) gives finite columns and a
-    zero gap.
-    """
-    h00, h11, c = hk[:, 0, 0].real, hk[:, 1, 1].real, hk[:, 1, 0]
-    # halves first: t and d stay finite for any finite diagonal
-    t, d = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11
-    r = np.hypot(d, np.abs(c))
-    energies[:, 0] = t - r
-    energies[:, 1] = t + r
-    tiny = r < 2.0 ** -900
-    if tiny.any():
-        # near the subnormal range halving and hypot round coarsely: take the
-        # ratios below of c and h00 - h11 (one rounding, relative to itself)
-        # scaled by powers of two, which is exact
-        c = c.copy()
-        d[tiny], c[tiny] = (h00[tiny] - h11[tiny]) * 2.0 ** 599, c[tiny] * 2.0 ** 600
-        r = np.hypot(d, np.abs(c))
-    gapped = r > 0.0
-    big = np.sqrt(0.5 + 0.5 * np.divide(np.abs(d), r, out=np.ones_like(r), where=gapped))
-    small = np.zeros_like(c)
-    np.divide(c.real, r, out=small.real, where=gapped)
-    np.divide(c.imag, r, out=small.imag, where=gapped)
-    small *= 0.5 / big
-    # np.abs, not hypot: the modulus that fix_phase_gauge's argmax compares
-    big = np.maximum(big, np.nextafter(np.abs(small), np.inf))
-    # the upper band's pivot is its first component unless d < 0, the lower
-    # band's its second if d > 0
-    upper, lower = d >= 0.0, d > 0.0
-    coeffs[:, 0, 0] = np.where(lower, -small.conj(), big)
-    coeffs[:, 1, 0] = np.where(lower, big, -small)
-    coeffs[:, 0, 1] = np.where(upper, big, small.conj())
-    coeffs[:, 1, 1] = np.where(upper, small, big)
-
-
-def _stack_hermiticity_defect(hk: np.ndarray, out: np.ndarray) -> None:
-    """The largest entry of |H - H^dag| of each matrix of a (P, NB, NB)
-    stack, written into ``out`` (P,).  For NB = 2 it is taken as
-    max(|H01 - conj H10|, 2 |Im H00|, 2 |Im H11|), without the whole
-    difference: the same bits, and the same overflow in a subtraction."""
-    if hk.shape[-1] == 2:
-        diagonal = np.maximum(np.abs(hk[:, 0, 0].imag), np.abs(hk[:, 1, 1].imag))
-        np.subtract(diagonal, -diagonal, out=diagonal)  # |Im(H_ii - conj H_ii)|
-        np.abs(hk[:, 0, 1] - hk[:, 1, 0].conj(), out=out)
-        np.maximum(out, diagonal, out=out)
-    else:
-        np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1), out=out)
+    return _su2.fix_phase(np.array(coeffs, dtype=complex))
 
 
 def _row_blocks(shape: tuple):
@@ -357,27 +253,26 @@ def _eigen_decompose(source, shape: tuple):
     """The eigen-decomposition of a Hamiltonian stack of shape ``shape``,
     (..., NB, NB): (phase-fixed coefficients, ascending energies).
 
-    ``source`` is the stack itself, whose shape must be ``shape``, or a
-    block source: a function of a slice of the stack's leading rows,
-    returning their (rows, ..., NB, NB) matrices.  The work runs a block of
-    leading rows at a time into the preallocated outputs, each block
-    holding at most ``ROW_BLOCK**2`` points (a row longer than that is a
-    block of its own), so beyond them it holds one Hermiticity defect and
-    one gap per point and O(ROW_BLOCK**2 * NB^2) bytes of transients, or
-    O(row * NB^2) for a longer row.  Each block is guarded in one pass:
-    one ``np.abs`` of its entries gives both the finiteness check and
-    max|H|, and :func:`_stack_hermiticity_defect` the defect.  A non-finite
-    entry, or a Hermiticity defect above ``HERMITICITY_TOL`` max|H|, is a
-    ValueError and an adjacent eigenvalue gap not above ``GAP_TOL`` max|E|
-    a :class:`DegenerateRibbon`, each naming the first bad index: the
-    ribbon is discontinuous at a degeneracy and silent reordering would
-    hide it.  Both limits are maxima over the whole stack.  A stack whose
-    Hermiticity difference, energies or eigenvalue gaps overflow the float
-    range raises FloatingPointError; so does a finite entry whose modulus
-    overflows, named with its index and value once every block has passed
-    the non-finite check, so a non-finite entry anywhere wins.  NB = 2
-    takes the closed form of :func:`_two_band_eigh`; every other NB takes
-    ``np.linalg.eigh`` and :func:`fix_phase_gauge`.
+    ``source`` is the stack itself, whose shape must be ``shape``, or a block
+    source: a function of a slice of the stack's leading rows, returning their
+    (rows, ..., NB, NB) matrices.  The work runs a block of leading rows at a
+    time into the preallocated outputs, each block holding at most
+    ``ROW_BLOCK**2`` points (a row longer than that is a block of its own), so
+    beyond them it holds one Hermiticity defect and one gap per point and
+    O(ROW_BLOCK**2 * NB^2) bytes of transients, or O(row * NB^2) for a longer
+    row.  Each block is guarded in one pass: one ``np.abs`` of its entries
+    gives both the finiteness check and max|H|, and :func:`_su2.defect` the
+    defect.  A non-finite entry, or a Hermiticity defect above
+    ``HERMITICITY_TOL`` max|H|, is a ValueError and an adjacent eigenvalue gap
+    not above ``GAP_TOL`` max|E| a :class:`DegenerateRibbon`, each naming the
+    first bad index: the ribbon is discontinuous at a degeneracy and silent
+    reordering would hide it.  Both limits are maxima over the whole stack.  A
+    stack whose Hermiticity difference, energies or eigenvalue gaps overflow
+    the float range raises FloatingPointError; so does a finite entry whose
+    modulus overflows, named with its index and value once every block has
+    passed the non-finite check, so a non-finite entry anywhere wins.  The
+    decomposition is :func:`_su2.eigh`: a closed form at NB = 2,
+    ``np.linalg.eigh`` and :func:`fix_phase_gauge` for every other NB.
     """
     if not callable(source):
         stack = np.asarray(source)
@@ -413,12 +308,8 @@ def _eigen_decompose(source, shape: tuple):
         if overflow is not None:
             continue
         h_max = max(h_max, top)
-        _stack_hermiticity_defect(hk, defect[block])
-        if nb == 2:
-            _two_band_eigh(hk, energies[block], coeffs[block])
-        else:
-            energies[block], vectors = np.linalg.eigh(hk)
-            coeffs[block] = _fix_phase_in_place(vectors)
+        _su2.defect(hk, defect[block])
+        _su2.eigh(hk, energies[block], coeffs[block])
         gap[block] = np.min(np.diff(energies[block], axis=-1), axis=-1, initial=np.inf)
         e_max = max(e_max, np.max(np.abs(energies[block]), initial=0.0))
     if overflow is not None:

@@ -93,7 +93,7 @@ def _phase_increments(offdiag: np.ndarray) -> np.ndarray:
     each grid point, in (-pi, pi]."""
     nxt = np.roll(offdiag, -1)
     prv = np.roll(offdiag, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(prv != 0, nxt / prv, np.nan)
     return np.angle(ratio)
 
@@ -168,7 +168,8 @@ def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], dri
     pairs = 0
     # each unordered band pair once, m the energetically higher member, so
     # the resonance omega_{m,n} is positive whatever the column order
-    order = np.argsort(np.mean(energies, axis=0))
+    with np.errstate(over="ignore"):  # a mean past the float range is inf, still in order
+        order = np.argsort(np.mean(energies, axis=0))
     if occ is None:  # a band's rank in that order is below half the band count
         occ = OccupationSpec(np.argsort(order) < nb // 2)
     for hi in range(nb):

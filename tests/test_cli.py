@@ -3,11 +3,13 @@ import dataclasses
 import hashlib
 import json
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from crmatrix import DriveSpec, LatticeSpec, OccupationSpec, PumpFamily, cli, io
 from crmatrix.cli import list_presets, load_config, main
@@ -403,7 +405,9 @@ THREE_BANDS = {"lattice": {"N": 16, "a": 1.0, "n_bands": 3}}
 NAN = float("nan")  # json.dumps writes it as the token NaN
 
 
-@pytest.mark.parametrize("task, model, params, top, key", [
+#: (task, model, task params, top-level keys, text the error must name) of
+#: configs that exit 2; they also seed the config fuzzer
+MALFORMED = [
     ("gauge-audit", None, {"seeds": "x"}, {}, "task.params.seeds"),
     ("berry-phase", None, {"band": 5}, {}, "task.params.band"),
     ("pump", {"preset": "qwz-pump"}, {"n_lambda": 0}, {}, "task.params.n_lambda"),
@@ -470,26 +474,91 @@ NAN = float("nan")  # json.dumps writes it as the token NaN
      "model.angles.dphi"),
     ("connection", {"angles": {"theta": "1.1", "phi": "k*a", "dphi": "a + 0*k"}}, {}, {},
      "model.angles.dtheta"),
-], ids=["seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
-        "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list",
-        "eta-zero", "centering", "windows-decreasing", "frequencies-decreasing",
-        "frequency-count-type", "fillings-range", "fillings-length", "orthogonality-n_max-type",
-        "scale-type", "amplitude-type", "amplitude-length", "theta-range",
-        "two-band-preset-3-bands", "angles-3-bands", "pump-3-bands", "graphene-3-bands",
-        "a-nan", "frequency-nan", "origin-nan", "scale-infinite", "eta-square-overflows",
-        "graphene-mass-and-hopping-overflow", "graphene-energy-overflows", "a-beyond-float",
-        "scale-draws-overflow", "scale-generator-overflows", "amplitude-square-overflows",
-        "one-window-no-fit", "pump-gap-overflows", "hamiltonian-gap-overflows",
-        "hamiltonian-difference-overflows", "hamiltonian-imaginary-diagonal-overflows",
-        "hamiltonian-nan-past-an-overflowing-modulus", "hamiltonian-modulus-overflows",
-        "band-and-bands", "n_max_list-empty", "bands-empty", "dtheta-without-dphi",
-        "dphi-without-dtheta"])
+]
+MALFORMED_IDS = [
+    "seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
+    "workers-key", "pump-keyword-not-a-model-param", "task-name-list", "preset-list", "eta-zero",
+    "centering", "windows-decreasing", "frequencies-decreasing", "frequency-count-type",
+    "fillings-range", "fillings-length", "orthogonality-n_max-type", "scale-type",
+    "amplitude-type", "amplitude-length", "theta-range", "two-band-preset-3-bands",
+    "angles-3-bands", "pump-3-bands", "graphene-3-bands", "a-nan", "frequency-nan", "origin-nan",
+    "scale-infinite", "eta-square-overflows", "graphene-mass-and-hopping-overflow",
+    "graphene-energy-overflows", "a-beyond-float", "scale-draws-overflow",
+    "scale-generator-overflows", "amplitude-square-overflows", "one-window-no-fit",
+    "pump-gap-overflows", "hamiltonian-gap-overflows", "hamiltonian-difference-overflows",
+    "hamiltonian-imaginary-diagonal-overflows", "hamiltonian-nan-past-an-overflowing-modulus",
+    "hamiltonian-modulus-overflows", "band-and-bands", "n_max_list-empty", "bands-empty",
+    "dtheta-without-dphi", "dphi-without-dtheta",
+]
+
+
+@pytest.mark.parametrize("task, model, params, top, key", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_params_exit_2_naming_key(tmp_path, capsys, task, model, params, top, key):
     out = tmp_path / "out"
     cfg = {**base_config(task, out, model=model, **params), **top}
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+#: expressions for the mutated model sections: zeros, subnormals, entries
+#: near the float limit and non-finite values, on top of smooth ones
+ENTRY = st.sampled_from(["0", "-0.0", "1e-320", "-1e-320", "1", "cos(k) + 0.5", "sin(k*a)",
+                         "1e308", "-1e308", "0/(k-k)", "exp(1000*k)", "sqrt(k-1)"])
+THETA = st.sampled_from(["0", "0*k", "pi", "pi + 0*k", "1.1 + 0.4*cos(k*a)", "-1e-11", "-1e-13",
+                         "pi + 1e-11", "pi + 1e-13", "1e-320", "1e308", "0/(k-k)"])
+PHI = st.sampled_from(["k*a", "0", "1e-320", "-k*a + 1e308", "0/(k-k)", "exp(1000*k)"])
+DERIVATIVE = st.sampled_from(["0*k", "a + 0*k", "-0.4*a*sin(k*a)", "0/k", "1e308"])
+
+
+@st.composite
+def two_band_table(draw):
+    """A 2-band ``hamiltonian`` table: Hermitian (its off-diagonal pair
+    conjugate to each other), scalar, or with any four entries."""
+    kind = draw(st.sampled_from(["hermitian", "scalar", "any"]))
+    if kind == "any":
+        return [[draw(ENTRY), draw(ENTRY)], [draw(ENTRY), draw(ENTRY)]]
+    if kind == "scalar":
+        c = draw(ENTRY)
+        return [[c, "0"], ["0", c]]
+    re_part, im_part = draw(ENTRY), draw(ENTRY)
+    return [[draw(ENTRY), f"({re_part}) + ({im_part})*j"],
+            [f"({re_part}) - ({im_part})*j", draw(ENTRY)]]
+
+
+@st.composite
+def two_band_angles(draw):
+    """A ``model.angles`` set, with both derivatives or neither."""
+    angles = {"theta": draw(THETA), "phi": draw(PHI)}
+    if draw(st.booleans()):
+        angles.update(dtheta=draw(DERIVATIVE), dphi=draw(DERIVATIVE))
+    return angles
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(row=st.sampled_from(MALFORMED),
+       model=st.one_of(st.none(), two_band_table().map(lambda h: {"hamiltonian": h}),
+                       two_band_angles().map(lambda a: {"angles": a})),
+       defaults=st.booleans())
+@example(row=MALFORMED[MALFORMED_IDS.index("hamiltonian-modulus-overflows")], model=None,
+         defaults=True)
+@example(row=MALFORMED[MALFORMED_IDS.index("theta-range")],
+         model={"angles": {"theta": "pi + 1e-13", "phi": "k*a"}}, defaults=False)
+def test_config_fuzzer_exits_0_2_or_3(row, model, defaults):
+    """A malformed config whose model section is kept or swapped for a
+    2-band table or angle set toward the NB = 2 closed forms, with its task
+    params kept or dropped for the defaults, exits 0, 2 or 3 and raises
+    nothing; exit 2 or 3 leaves no output directory."""
+    task, row_model, params, top, _ = row
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = {**base_config(task, out, model=model or row_model, **({} if defaults else params)),
+               **top}
+        code = main(["run", "--config", str(write_config(Path(tmp), cfg))])
+        event(f"exit {code}, {next(iter(cfg['model']))} model")
+        assert code in (0, 2, 3), cfg
+        assert out.exists() == (code == 0), cfg
 
 
 @pytest.mark.parametrize("task, preset", [

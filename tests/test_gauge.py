@@ -11,12 +11,14 @@ from crmatrix import (BlochField, InvarianceReport, LatticeSpec,
                       ZeroOverlap, apply_gauge_to_field, berry_connection,
                       berry_phase, build_kgrid, central_difference,
                       curvature_substitution_check, diagonal_loop,
-                      diagonal_value, eigenfield_from_hamiltonian, gauge, gauge_audit,
-                      gauge_transform, pump_family_from_angles, random_gauge_field,
-                      similarity_transform, trace_loop, two_band_field)
+                      diagonal_value, eigenfield_from_hamiltonian, eigenfield_from_stack,
+                      gauge, gauge_audit, gauge_transform, pump_family_from_angles,
+                      random_gauge_field, similarity_transform, trace_loop, two_band_field)
 from crmatrix.cli import main
-from crmatrix.gauge import (DIAGONAL_VALUE_TOL, LOOP_TOL, _entries, _fourier_coefficients,
-                            _stack, _su2_exp, _two_band_similarity, gauge_inhomogeneous_term)
+from crmatrix._su2 import (entries as _entries, exp_i as _su2_exp, expm_i,
+                           sandwich as _two_band_similarity, stack as _stack)
+from crmatrix.gauge import (DIAGONAL_VALUE_TOL, LOOP_TOL, _fourier_coefficients,
+                            gauge_inhomogeneous_term)
 from crmatrix.model import stack_unitarity_defect
 from crmatrix.presets import generic_two_band, graphene_loop, identity_field, qwz_pump
 from crmatrix.rmatrix import loop_phases
@@ -563,6 +565,23 @@ def test_gauge_audit_trivial_and_constant_gauges(modes, scale):
         assert all(r.after == r.before for r in rows)
 
 
+def test_gauge_audit_berry_phase_of_pi_is_invariant():
+    """A Berry phase of pi sits on the branch cut of the angle: round-off
+    carries it to +pi under some gauges and leaves it at -pi under others.
+    Both are the same angle, so the row's delta is taken the short way
+    round the circle."""
+    grid = grid_of(64)
+    k = grid.points
+    hk = np.empty((64, 2, 2), dtype=complex)
+    hk[:, 0, 0], hk[:, 1, 1] = np.cos(k) + 0.5, -np.cos(k) - 0.5
+    hk[:, 0, 1] = hk[:, 1, 0] = np.sin(k)
+    rows = [r for r in gauge_audit(eigenfield_from_stack(hk, grid), 0, 5, 3, 0.3)
+            if r.name == "berry_phase"]
+    assert {np.sign(r.after) for r in rows} == {-1.0, 1.0}
+    assert all(abs(abs(r.before) - np.pi) < 1e-15 and r.delta < 1e-15 and r.invariant
+               for r in rows)
+
+
 def test_gauge_audit_memory_is_per_seed():
     """The audit holds O(1) connection-sized stacks, not one per seed: its
     tracemalloc peak at N=1024 over 20 seeds, in blocks of 2 seeds,
@@ -763,6 +782,56 @@ def test_two_band_similarity_equals_the_written_out_products(pairs, seeds):
 def test_exp_i_takes_eigh_off_two_bands(nb):
     g = random_gauge_field(nb, grid_of(64, nb=nb), modes=3, seed=4)
     assert g.unitaries.tobytes() == eigh_exp_i(g.generator).tobytes()
+    assert expm_i(g.generator).tobytes() == g.unitaries.tobytes()
+
+
+class EighCalled(Exception):
+    """Raised by a patched np.linalg.eigh."""
+
+
+def hermitian_stack(n, nb, seed=0):
+    """A seeded (n, nb, nb) stack of Hermitian matrices."""
+    x = np.random.default_rng(seed).normal(size=(2, n, nb, nb))
+    x = x[0] + 1j * x[1]
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+
+
+def audit_call(nb):
+    field = (generic_two_band(LatticeSpec(n_cells=64, n_bands=2)) if nb == 2
+             else eigenfield_from_hamiltonian(three_band_hamiltonian, grid_of(64, nb=3)))
+    return lambda: gauge_audit(field, 0, 3, 3, 0.3)
+
+
+#: each case returns the call under test; an input that needs eigh (the
+#: audit's 3-band field) is built before eigh is patched
+DISPATCH_CASES = {
+    "eigenfield_from_stack": lambda nb: lambda: eigenfield_from_stack(hermitian_stack(64, nb),
+                                                                      grid_of(64, nb=nb)),
+    "qwz_pump": lambda nb: lambda: qwz_pump(LatticeSpec(n_cells=32, n_bands=2), 16),
+    "random_gauge_field": lambda nb: lambda: random_gauge_field(nb, grid_of(64, nb=nb), 3, 4),
+    "similarity_transform": lambda nb: lambda: similarity_transform(
+        hermitian_stack(64, nb), random_gauge_field(nb, grid_of(64, nb=nb), 3, 4)),
+    "gauge_audit": audit_call,
+}
+
+
+@pytest.mark.parametrize("name, nb", [(name, 2) for name in DISPATCH_CASES]
+                         + [(name, 3) for name in DISPATCH_CASES if name != "qwz_pump"])
+def test_two_bands_run_without_eigh(monkeypatch, name, nb):
+    """At NB = 2 the eigen path, exp(i H), U M U^dag and the gauge audit
+    take the closed forms of _su2: they run with np.linalg.eigh patched to
+    raise.  At NB = 3 the same call reaches eigh (qwz_pump is two-band)."""
+    call = DISPATCH_CASES[name](nb)
+
+    def eigh(*args, **kwargs):
+        raise EighCalled
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    if nb == 2:
+        call()
+    else:
+        with pytest.raises(EighCalled):
+            call()
 
 
 @pytest.mark.slow

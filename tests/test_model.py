@@ -8,8 +8,8 @@ from crmatrix import (DegenerateRibbon, LatticeSpec, build_kgrid,
                       eigenfield_from_hamiltonian, eigenfield_from_stack, fix_phase_gauge,
                       graphene_phases, honeycomb_phasor_sum, pump_family_from_angles,
                       pump_family_from_hamiltonian, pump_family_from_stack, two_band_field)
-from crmatrix.model import (_stack_hermiticity_defect, _two_band_eigh, stack_unitarity_defect,
-                            two_band_columns)
+from crmatrix._su2 import defect as _stack_hermiticity_defect, eigh as _two_band_eigh
+from crmatrix.model import stack_unitarity_defect, two_band_columns
 from crmatrix.presets import DIRAC_POINT, graphene_loop, qwz_hamiltonian, qwz_pump
 from crmatrix.rmatrix import central_difference, link_overlaps
 
