@@ -10,8 +10,9 @@ work.
 """
 
 from .errors import (BranchTrackingError, ConfigError, CrmatrixError,
-                     DegenerateRibbon, MissingEnergies, NonHermitianInput,
-                     NumericalGuardError, UnderResolvedGrid, ZeroOverlap)
+                     DegenerateRibbon, MissingEnergies, NonFiniteResult,
+                     NonHermitianInput, NumericalGuardError, UnderResolvedGrid,
+                     ZeroOverlap)
 from .model import (BlochField, KGrid, LatticeSpec, PumpFamily,
                     build_kgrid, eigenfield_from_hamiltonian,
                     eigenfield_from_stack, fix_phase_gauge, graphene_phases,

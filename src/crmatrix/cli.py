@@ -3,8 +3,9 @@
 ``crmatrix run --config run.json`` executes one named task and writes CSV
 files plus a manifest into the output directory; ``crmatrix list-presets``
 prints the shipped model presets.  Exit codes: 0 success, 2 config error,
-3 numerical guard tripped.  The default output directory can be set with
-the CRMATRIX_OUTDIR environment variable.
+3 numerical guard tripped.  The output directory is ``--outdir``, else the
+config's ``output.directory``, else the CRMATRIX_OUTDIR environment
+variable when it is set and non-empty, else ``crmatrix-out``.
 """
 
 from __future__ import annotations
@@ -200,15 +201,18 @@ def _task_params(params: dict, table: dict, spec: LatticeSpec) -> dict:
 class Context(NamedTuple):
     """A parsed run config, and a task handler's one argument: the config
     as read (for the manifest), its lattice, the builder of its model
-    field (or pump family), its parsed task parameters and its seed.
-    Handlers return (outputs, tolerances); outputs maps each file name, in
-    manifest order, to its table {column name: column} for :func:`io.write_csv`."""
+    field (or pump family), its parsed task parameters, its seed, its task
+    name and its output directory.  Handlers return (outputs, tolerances);
+    outputs maps each file name, in manifest order, to its table
+    {column name: column} for :func:`io.write_csv`."""
 
     cfg: dict
     spec: LatticeSpec
     field: Callable[..., BlochField]
     params: dict
     seed: int
+    task: str
+    outdir: Path
 
 
 def load_config(path: Path) -> Context:
@@ -226,11 +230,14 @@ def load_config(path: Path) -> Context:
                                 "output": False, "seed": False})
     lat = cfg["lattice"]
     _check_keys(lat, "lattice", {"N": True, "a": True, "n_bands": True, "origin": False})
-    n_cells, a = _integer(lat["N"], "lattice.N"), _number(lat["a"], "lattice.a")
-    if a <= 0:
-        raise ConfigError("lattice.a must be a positive number")
-    spec = LatticeSpec(n_cells, a, _integer(lat["n_bands"], "lattice.n_bands"),
-                       _number(lat.get("origin", 0.0), "lattice.origin"))
+    try:
+        spec = LatticeSpec(_integer(lat["N"], "lattice.N"), _number(lat["a"], "lattice.a"),
+                           _integer(lat["n_bands"], "lattice.n_bands"),
+                           _number(lat.get("origin", 0.0), "lattice.origin"))
+    except ValueError as exc:  # LatticeSpec's message starts with the field at fault
+        key = {"n_cells": "N", "lattice_constant": "a", "n_bands": "n_bands",
+               "origin": "origin"}[str(exc).split()[0]]
+        raise ConfigError(f"lattice.{key}: {exc}") from exc
 
     model = cfg["model"]
     _check_keys(model, "model", {"preset": False, "params": False,
@@ -269,10 +276,14 @@ def load_config(path: Path) -> Context:
         raise ConfigError(f"{where} cannot run task {task['name']}, which accepts "
                           + ", ".join(entry.models))
     params = _task_params(task.get("params", {}), entry.params, spec)
+    outdir = os.environ.get("CRMATRIX_OUTDIR") or "crmatrix-out"
     if "output" in cfg:
         _check_keys(cfg["output"], "output", {"directory": True})
+        outdir = cfg["output"]["directory"]
+        if not isinstance(outdir, str) or not outdir:
+            raise ConfigError("output.directory must be a non-empty string")
     seed = _integer(cfg["seed"], "seed", 0) if "seed" in cfg else 0
-    return Context(cfg, spec, field, params, seed)
+    return Context(cfg, spec, field, params, seed, task["name"], Path(outdir))
 
 
 # -- tasks -------------------------------------------------------------------
@@ -525,18 +536,15 @@ TASKS = {
 }
 
 
-def run(ctx: Context, outdir_override=None, verbose: bool = False) -> int:
+def run(ctx: Context, verbose: bool = False) -> int:
     """Run the task of the :class:`Context` that :func:`load_config`
-    returned, then write its files and the manifest."""
-    cfg, spec = ctx.cfg, ctx.spec
-    default_dir = os.environ.get("CRMATRIX_OUTDIR", "crmatrix-out")
-    outdir = Path(outdir_override or cfg.get("output", {}).get("directory", default_dir))
-    task = cfg["task"]["name"]
-    outputs, tolerances = TASKS[task].handler(ctx)
+    returned, then write its files and the manifest into its directory."""
+    spec, outdir = ctx.spec, ctx.outdir
+    outputs, tolerances = TASKS[ctx.task].handler(ctx)
     outdir.mkdir(parents=True, exist_ok=True)
     files = [(name, io.write_csv(outdir / name, table)) for name, table in outputs.items()]
 
-    io.write_manifest(outdir, task, cfg, ctx.seed,
+    io.write_manifest(outdir, ctx.task, ctx.cfg, ctx.seed,
                       grids={"N": spec.n_cells, "a": spec.lattice_constant,
                              "n_bands": spec.n_bands},
                       tolerances=tolerances,
@@ -571,7 +579,9 @@ def main(argv=None) -> int:
         ctx = load_config(args.config)
         if args.seed is not None:
             ctx = ctx._replace(seed=_integer(args.seed, "--seed", 0))
-        return run(ctx, outdir_override=args.outdir, verbose=args.verbose)
+        if args.outdir:
+            ctx = ctx._replace(outdir=Path(args.outdir))
+        return run(ctx, verbose=args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NonFiniteResult
+
 DEFAULT_SAMPLES = 2048
 #: fewest trapezoid panels per cell a SampledCellFunction accepts
 MIN_SAMPLES = 64
@@ -85,12 +87,25 @@ class SampledCellFunction:
         return float(np.real(self.integrate(self.density() * (self.positions - a / 2.0))))
 
 
-def _window_offsets(w: int, a: float, centering: str) -> np.ndarray:
+def _window_offsets(w: int, centering: str) -> np.ndarray:
+    """The cell offsets of a window of ``w`` cells, in units of a."""
     if centering == FROM_ORIGIN:
-        return np.arange(w) * a
+        return np.arange(w, dtype=float)
     if centering == CENTERED:
-        return (np.arange(w) - (w - 1) / 2.0) * a
+        return np.arange(w) - (w - 1) / 2.0
     raise ValueError(f"unknown centering {centering!r}")
+
+
+def _window_mean(cell_mean: float, a: float, offsets: np.ndarray) -> float:
+    """The truncated <r> of a window of W cells at ``offsets`` (units of a),
+    cell_mean + a mean(offsets); a window whose W a is past the float range
+    raises :class:`NonFiniteResult`, naming W and the value."""
+    with np.errstate(over="ignore"):
+        value = float(cell_mean + a * np.mean(offsets))
+    if not np.isfinite(value):
+        raise NonFiniteResult(f"the truncated <r> of the window W = {len(offsets)} is {value}: "
+                              f"W a is past the float range")
+    return value
 
 
 def check_windows(windows: Sequence[int]) -> np.ndarray:
@@ -123,17 +138,19 @@ def truncated_position_expectation(cell_fn: SampledCellFunction, windows: Sequen
     windows = check_windows(windows)
     cell_mean = cell_fn.cell_mean_position()
     a = cell_fn.lattice_constant
-    values = np.array([cell_mean + np.mean(_window_offsets(w, a, centering)) for w in windows])
+    values = np.array([_window_mean(cell_mean, a, _window_offsets(w, centering))
+                       for w in windows])
 
-    x = windows.astype(float)
-    slope, intercept = np.polyfit(x, values, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((values - pred) ** 2))
-    ss_tot = float(np.sum((values - np.mean(values)) ** 2))
+    # the fit runs in units of a, so its squares stay floats at any lattice constant
+    x, y = windows.astype(float), values / a
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     # a spread at round-off of the widest window is a flat (centered) run
-    flat = np.ptp(values) <= 1e-12 * a * windows[-1]
+    flat = np.ptp(y) <= 1e-12 * windows[-1]
     r_squared = 1.0 if flat else 1.0 - ss_res / ss_tot
-    return TruncationStudy(windows=windows, values=values, slope=float(slope), r_squared=r_squared)
+    return TruncationStudy(windows=windows, values=values, slope=float(slope * a),
+                           r_squared=r_squared)
 
 
 @dataclass(frozen=True)
@@ -160,10 +177,9 @@ def translation_audit(cell_fn: SampledCellFunction, window: int,
     """
     a = cell_fn.lattice_constant
     cell_mean = cell_fn.cell_mean_position()
-    offs = _window_offsets(window, a, centering)
-    before = cell_mean + float(np.mean(offs))
-    after = cell_mean + float(np.mean(offs - a))
-    return TranslationAudit(before=before, after=after, predicted_shift=-a)
+    offs = _window_offsets(window, centering)
+    return TranslationAudit(before=_window_mean(cell_mean, a, offs),
+                            after=_window_mean(cell_mean, a, offs - 1.0), predicted_shift=-a)
 
 
 def gapped_cell_basis(n_max: int, lattice_constant: float,
@@ -177,7 +193,7 @@ def gapped_cell_basis(n_max: int, lattice_constant: float,
     a = lattice_constant
     r = np.linspace(0.0, a, n_samples + 1)
     ns = np.arange(1, n_max + 1)
-    basis = (2.0 / np.sqrt(a)) * np.sin(4.0 * np.pi * np.outer(ns, r) / a)
+    basis = (2.0 / np.sqrt(a)) * np.sin(4.0 * np.pi * np.outer(ns, r / a))
     basis[:, r > a / 2.0] = 0.0
     return basis
 

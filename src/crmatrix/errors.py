@@ -41,3 +41,8 @@ class BranchTrackingError(NumericalGuardError):
 class UnderResolvedGrid(NumericalGuardError):
     """A closed loop of fewer than 3 points, or a plaquette invariant
     rounding residue too large; refine the grid."""
+
+
+class NonFiniteResult(NumericalGuardError):
+    """A result left the float range: its inputs are finite, but a product
+    of them overflows."""

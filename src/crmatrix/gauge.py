@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _su2
-from .model import ROW_BLOCK, BlochField, KGrid, stack_unitarity_defect
+from .model import BlochField, KGrid, _row_blocks, stack_unitarity_defect
 from .rmatrix import _values, berry_connection, central_difference, loop_phases
 
 LOOP_TOL = 1e-9  #: a closed-loop functional is a phase
@@ -87,17 +87,15 @@ def _mode_table(grid: KGrid, modes: int) -> tuple:
 
 
 def _fourier_series(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray, table: tuple,
-                    grid: KGrid, kderiv: bool = False, dtype=complex) -> np.ndarray:
-    """The generator of stacked (modes + 1, *shape) coefficients on the
-    grid, or with ``kderiv`` its analytic k-derivative, from the
+                    grid: KGrid, kderiv: bool = False) -> np.ndarray:
+    """The float series of stacked real (modes + 1, *shape) coefficients on
+    the grid, or with ``kderiv`` its analytic k-derivative, from the
     :func:`_mode_table` of the grid, shaped (*shape, N): the grid axis is
     last, so each product runs along it.  The arithmetic is elementwise, so
-    a slice of the coefficients gives that slice of H, and real
-    coefficients summed in ``dtype=float`` give the bits of the real part
-    of the complex series."""
+    a slice of the coefficients gives that slice of the series."""
     a = grid.spec.lattice_constant
     cos_table, sin_table = table
-    out = np.zeros(cos_coeffs.shape[1:] + (grid.n,), dtype=dtype)
+    out = np.zeros(cos_coeffs.shape[1:] + (grid.n,))
     if not kderiv:
         out += cos_coeffs[0][..., None]
     for s in range(1, len(cos_coeffs)):
@@ -110,26 +108,29 @@ def _fourier_series(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray, table: tuple
     return out
 
 
-def _generator(coeffs: np.ndarray, table: tuple, grid: KGrid,
-               kderiv: bool = False) -> np.ndarray:
-    """The (N, NB, NB) stack H(k_p), or its k-derivative, of stacked
-    (2, modes + 1, NB, NB) coefficients, by :func:`_fourier_series`."""
-    return np.ascontiguousarray(np.moveaxis(_fourier_series(*coeffs, table, grid, kderiv),
-                                            -1, 0))
+def _generator(coeffs: np.ndarray, table: tuple, grid: KGrid, kderiv: bool = False) -> tuple:
+    """The generator H(k_p) of stacked (2, modes + 1, ..., NB, NB) Hermitian
+    coefficients, or with ``kderiv`` its k-derivative, as its real diagonal
+    (NB, ..., N) and its complex strict upper triangle (NB (NB - 1) / 2,
+    ..., N) in row order: each diagonal entry, and the real and imaginary
+    part of each entry above it, is one float :func:`_fourier_series`, one
+    generator per leading index of the coefficients."""
+    nb = coeffs.shape[-1]
+    upper = [coeffs[..., m, n] for m in range(nb) for n in range(m + 1, nb)]
+    parts = np.stack([coeffs[..., m, m].real for m in range(nb)]
+                     + [c.real for c in upper] + [c.imag for c in upper], axis=2)
+    series = _fourier_series(*parts, table, grid, kderiv)
+    return series[:nb], series[nb:nb + len(upper)] + 1j * series[nb + len(upper):]
 
 
-def _two_band_generator(coeffs: np.ndarray, table: tuple, grid: KGrid,
-                        kderiv: bool = False) -> tuple:
-    """(h00, h11, h01) of a U(2) generator H(k_p) on the grid, or with
-    ``kderiv`` of its k-derivative: the four real components h00, h11,
-    Re h01 and Im h01 of the stacked (2, modes + 1, ..., 2, 2) coefficients
-    are summed by :func:`_fourier_series` in floats, with the bits of
-    :func:`_generator` at a quarter of its work.  Each is shaped (..., N),
-    one generator per leading index of the coefficients."""
-    parts = np.stack([coeffs[..., 0, 0].real, coeffs[..., 1, 1].real,
-                      coeffs[..., 0, 1].real, coeffs[..., 0, 1].imag], axis=2)
-    h00, h11, re, im = _fourier_series(*parts, table, grid, kderiv, dtype=float)
-    return h00, h11, re + 1j * im
+def _hermitian_stack(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The (N, NB, NB) stack of a :func:`_generator` without leading axes,
+    each entry below the diagonal the conjugate of the one above it."""
+    nb, (rows, cols) = len(diag), np.triu_indices(len(diag), 1)
+    out = np.empty(diag.shape[1:] + (nb, nb), dtype=complex)
+    out[:, range(nb), range(nb)] = diag.T
+    out[:, rows, cols], out[:, cols, rows] = upper.T, upper.T.conj()
+    return out
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -140,18 +141,14 @@ def random_gauge_field(n_bands: int, grid: KGrid, modes: int, seed: int,
     modes=0 gives a k-independent unitary.  ``diagonal=True`` restricts
     every Fourier coefficient to a real diagonal matrix, producing a
     U(1)^NB phase field, exp(i H) entry by entry; otherwise U is
-    :func:`_su2.expm_i` of H, for NB = 2 built from the real components of
-    :func:`_two_band_generator` as :func:`gauge_audit` builds it.  Fixed
-    seed means a bitwise reproducible field.  A value that overflows (a
-    huge ``scale``) raises FloatingPointError, as in :func:`gauge_audit`.
+    :func:`_su2.expm_i` of H.  H is built by :func:`_generator`, as
+    :func:`gauge_audit` builds it.  Fixed seed means a bitwise reproducible
+    field.  A value that overflows (a huge ``scale``) raises
+    FloatingPointError, as in :func:`gauge_audit`.
     """
     coeffs = _fourier_coefficients(n_bands, modes, seed, scale, diagonal)
     table = _mode_table(grid, modes)
-    if n_bands == 2 and not diagonal:
-        gen, dgen = (_su2.stack(((h00, h01), (h01.conj(), h11))) for h00, h11, h01
-                     in (_two_band_generator(coeffs, table, grid, d) for d in (False, True)))
-    else:
-        gen, dgen = (_generator(coeffs, table, grid, d) for d in (False, True))
+    gen, dgen = (_hermitian_stack(*_generator(coeffs, table, grid, d)) for d in (False, True))
     if diagonal:
         unitaries, m = np.zeros_like(gen), np.arange(n_bands)
         unitaries[:, m, m] = np.exp(1j * gen[:, m, m])
@@ -319,10 +316,10 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     """Before/after rows of four functionals under ``seeds`` random gauges.
 
     Gauge seed ``seed + s`` draws a U(1)^NB field and ``seed + s + 10000`` a
-    U(NB) field U = exp(i H), as :func:`random_gauge_field` does: for NB = 2
-    from the real components of H by :func:`_su2.exp_i`, by eigh for any other
-    NB; the mode angle table is built once per call.  Each seed gives four
-    :class:`InvarianceReport` rows: ``diagonal_value`` (the connection's band
+    U(NB) field U = exp(i H) from :func:`_generator`, as
+    :func:`random_gauge_field` does: for NB = 2 by :func:`_su2.exp_i`, by
+    eigh for any other NB; the mode angle table is built once per call.
+    Each seed gives four :class:`InvarianceReport` rows: ``diagonal_value`` (the connection's band
     entry at ``kindex``, moved by d_k xi by design; its limit is
     ``DIAGONAL_VALUE_TOL * a``), ``diagonal_loop`` and the re-gauged ribbon's
     ``berry_phase`` under U(1)^NB, ``trace_loop`` under U(NB); limit ``LOOP_TOL``.
@@ -332,10 +329,11 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     and the traced diagonal of U M U^dag (for NB = 2 from the explicit 2x2
     products of :func:`_su2.sandwich`, otherwise one einsum) plus
     d_k tr H, the exact trace of U i d_k(U^dag).  The seeds run in blocks
-    of whole seeds, as (seeds, N) arrays with the grid axis last: a block
-    holds at most ``ROW_BLOCK**2 / 2`` (seed, k) points and at least one
-    seed (2 seeds at N = 1024, 1 above N = 2048), so the audit holds
-    O(1) connection-sized stacks however many seeds it runs.  Each seed
+    of whole seeds, as (seeds, N) arrays with the grid axis last: the
+    :func:`_row_blocks` of a (seeds, 2N) array, at most ``ROW_BLOCK**2 / 2``
+    (seed, k) points and at least one seed a block (2 seeds at N = 1024, 1
+    above N = 2048), so the audit holds O(1) connection-sized stacks
+    however many seeds it runs.  Each seed
     draws its own coefficients, every step is elementwise along the seeds
     (eigh runs seed by seed for NB != 2) and every k-sum runs over a
     contiguous k axis, so a row does not depend on the block it is in.
@@ -352,10 +350,9 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
               trace_loop(conn, grid), berry_phase(field, band))
     table = _mode_table(grid, modes)
     conn_entries = _su2.entries(conn) if field.n_bands == 2 else None  # not per block: 30 % slower
-    step = max(1, ROW_BLOCK ** 2 // (2 * grid.n))
     reports = []
-    for s0 in range(seed, seed + seeds, step):
-        block = range(s0, min(s0 + step, seed + seeds))
+    for rows, _ in _row_blocks((seeds, 2 * grid.n)):
+        block = range(seed + rows.start, seed + rows.stop)
         value, loop, phase = _phase_gauge_rows(field, conn, band, kindex, block, modes, scale,
                                                table)
         traced = _traced_loops(conn, conn_entries, block, modes, scale, table, grid)
@@ -379,7 +376,9 @@ def _phase_gauge_rows(field: BlochField, conn: np.ndarray, band: int, kindex: in
     xi = _fourier_series(*coeffs, table, grid)
     u = np.exp(1j * xi)
     a_bb = np.einsum("sp,p,sp->sp", u, conn[:, band, band], u.conj())
-    a_bb += central_difference(xi, grid.spacing, axis=-1)
+    # xi is differenced in complex, as gauge_inhomogeneous_term differences
+    # the generator stack: a complex divide rounds apart from a float one
+    a_bb += central_difference(xi.astype(complex), grid.spacing, axis=-1)
     return (a_bb[:, kindex].copy(), _loop_sum(a_bb, grid, axis=-1),
             loop_phases(np.einsum("pl,sp->psl", field.coeffs[:, :, band], u.conj())))
 
@@ -391,20 +390,16 @@ def _traced_loops(conn: np.ndarray, conn_entries, block: range, modes: int, scal
     plus d_k tr H.  NB = 2 (``conn_entries`` given) takes the closed form
     for the whole block, any other NB eigh seed by seed."""
     nb = conn.shape[-1]
-    coeffs = [_fourier_coefficients(nb, modes, s + 10_000, scale, False) for s in block]
+    diag, upper = _generator(np.stack([_fourier_coefficients(nb, modes, s + 10_000, scale, False)
+                                       for s in block], axis=2), table, grid)
     if conn_entries is not None:
-        h00, h11, h01 = _two_band_generator(np.stack(coeffs, axis=2), table, grid)
-        s00, s11 = _su2.sandwich(_su2.exp_i(h00, h11, h01), conn_entries, ((0, 0), (1, 1)))
-        # tr H is differenced in complex, as the trace of the generator
-        # stack is: a complex divide rounds apart from a float one
-        traced, trace_h = s00 + s11, (h00 + h11).astype(complex)
+        s00, s11 = _su2.sandwich(_su2.exp_i(*diag, *upper), conn_entries, ((0, 0), (1, 1)))
+        traced = s00 + s11
     else:
         traced = np.empty((len(block), grid.n), dtype=complex)
-        trace_h = np.empty_like(traced)
-        for row, c in enumerate(coeffs):
-            gen = _generator(c, table, grid)
-            full = _su2.expm_i(gen)
+        for row in range(len(block)):
+            full = _su2.expm_i(_hermitian_stack(diag[:, row], upper[:, row]))
             traced[row] = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1)
-            trace_h[row] = np.trace(gen, axis1=1, axis2=2)
-    traced += central_difference(trace_h, grid.spacing, axis=-1)
+    # the float trace, differenced in complex as in _phase_gauge_rows
+    traced += central_difference(diag.sum(axis=0).astype(complex), grid.spacing, axis=-1)
     return _loop_sum(traced, grid, axis=-1)

@@ -47,7 +47,11 @@ class LatticeSpec:
 
     Site j (0-based) sits at ``origin + j * lattice_constant``.  ``origin``
     only shifts the crystal mass center; observables built from diagonal
-    differences must not depend on it.
+    differences must not depend on it.  Every length and momentum of the
+    chain must be a float: the zone width 2 pi / a (so every k-grid point),
+    the chain length (N - 1) a, the last site and the largest origin phase
+    |origin| 2 pi / a.  A value that breaks a rule is a ValueError whose
+    message starts with its field.
     """
 
     n_cells: int
@@ -56,12 +60,21 @@ class LatticeSpec:
     origin: float = 0.0
 
     def __post_init__(self):
+        a, origin = self.lattice_constant, self.origin
         if self.n_cells < 1:
             raise ValueError("n_cells must be >= 1")
         if self.n_bands < 1:
             raise ValueError("n_bands must be >= 1")
-        if not self.lattice_constant > 0:
+        if not a > 0:
             raise ValueError("lattice_constant must be > 0")
+        for field, value, what in (
+                ("lattice_constant", 2.0 * np.pi / a, "the zone width 2 pi / a"),
+                ("lattice_constant", (self.n_cells - 1) * a, "the chain length (N - 1) a"),
+                ("origin", origin + (self.n_cells - 1) * a, "the last site"),
+                ("origin", origin * (2.0 * np.pi / a), "the origin phase |origin| 2 pi / a")):
+            if not math.isfinite(value):
+                raise ValueError(f"{field} {getattr(self, field):g} puts {what} past the "
+                                 f"float range")
 
     @property
     def sites(self) -> np.ndarray:

@@ -127,18 +127,19 @@ def link_overlaps(cols: np.ndarray, axis: int) -> np.ndarray:
 
 def loop_phases(cols: np.ndarray) -> np.ndarray:
     """Discrete Berry phase in (-pi, pi] along axis 0, per remaining slice:
-    minus the angle of the closed link product, branch taken once.  Each
-    product runs contiguously in ascending k: the bits of the slice alone.
-    The slices are transposed a block of at most ``ROW_BLOCK**2`` links at
-    a time (a slice longer than that is one block), so no transient is the
-    size of the links."""
+    minus the angle of the closed link product, branch taken once; a
+    product on the negative real axis gives +pi, whatever the sign of its
+    zero imaginary part.  Each product runs contiguously in ascending k: the
+    bits of the slice alone.  The slices are transposed by the blocks of
+    :func:`_row_blocks`, at most ``ROW_BLOCK**2`` links at a time (a slice
+    longer than that is one block), so no transient is the size of the
+    links."""
     links = link_overlaps(cols, axis=0)
     slices = links.reshape(len(links), -1)
     phases = np.empty(slices.shape[1])
-    width = max(1, ROW_BLOCK ** 2 // len(links))
-    for c0 in range(0, len(phases), width):
-        block = np.ascontiguousarray(slices[:, c0:c0 + width].T)
-        phases[c0:c0 + width] = -np.angle(np.prod(block, axis=-1))
+    for block, _ in _row_blocks(slices.shape[::-1]):
+        angle = np.angle(np.prod(np.ascontiguousarray(slices[:, block].T), axis=-1))
+        phases[block] = np.where(angle == np.pi, angle, -angle)
     return phases.reshape(links.shape[1:])[()]
 
 

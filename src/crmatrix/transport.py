@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BranchTrackingError, MissingEnergies, UnderResolvedGrid
+from .errors import BranchTrackingError, MissingEnergies, NonFiniteResult, UnderResolvedGrid
 from .model import ROW_BLOCK, BlochField, PumpFamily
 from .rmatrix import ConnectionField, _values, link_overlaps, loop_phases, reduced_position_matrix
 
@@ -134,6 +134,7 @@ class SpectrumResult:
     skipped_fraction: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches the total, refused below
 def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], drive: DriveSpec,
                            connection: Optional[ConnectionField] = None) -> SpectrumResult:
     """DC shift-current spectrum.
@@ -149,7 +150,9 @@ def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], dri
     blocks are near-equal and none is one column wide unless the whole
     count is 1: numpy sums a C-contiguous (N, w) block over k row by row
     for w >= 2, the order of the unblocked sum, but pairwise for w = 1,
-    which would change the last bits.
+    which would change the last bits.  A current past the float range (a
+    huge lattice constant makes |r_mn|^2 overflow) raises
+    :class:`NonFiniteResult`, naming the first such frequency and value.
     """
     energies = field.energies
     if energies is None:
@@ -168,8 +171,7 @@ def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], dri
     pairs = 0
     # each unordered band pair once, m the energetically higher member, so
     # the resonance omega_{m,n} is positive whatever the column order
-    with np.errstate(over="ignore"):  # a mean past the float range is inf, still in order
-        order = np.argsort(np.mean(energies, axis=0))
+    order = np.argsort(np.mean(energies, axis=0))  # a mean past the float range is inf, in order
     if occ is None:  # a band's rank in that order is below half the band count
         occ = OccupationSpec(np.argsort(order) < nb // 2)
     for hi in range(nb):
@@ -194,6 +196,10 @@ def shift_current_spectrum(field: BlochField, occ: Optional[OccupationSpec], dri
                 drive._lorentzian_in_place(x)
                 x *= weight[:, None]
                 total[b0:b1] += x.sum(axis=0) * amp2[b0:b1]
+    if not np.all(np.isfinite(total)):
+        at = int(np.argmin(np.isfinite(total)))
+        raise NonFiniteResult(f"shift current at omega {w[at]:g} is {total[at]}: "
+                              f"its terms overflow a float")
     frac = skipped / pairs if pairs else 0.0
     return SpectrumResult(frequencies=w, currents=total, skipped_fraction=float(frac))
 

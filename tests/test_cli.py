@@ -230,6 +230,48 @@ def test_outdir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "connection.csv").exists()
 
 
+@pytest.mark.parametrize("directory", [None, "cfgout"])
+@pytest.mark.parametrize("env", [None, "", "envout"])
+@pytest.mark.parametrize("override", [None, "argout"])
+def test_output_directory_precedence(tmp_path, monkeypatch, directory, env, override):
+    """load_config resolves the output directory: the config's
+    output.directory, else CRMATRIX_OUTDIR (when set and non-empty), else
+    crmatrix-out; --outdir overrides all three.  The run writes there and
+    nowhere else."""
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("CRMATRIX_OUTDIR", raising=False)
+    else:
+        monkeypatch.setenv("CRMATRIX_OUTDIR", env)
+    cfg = base_config("connection", directory, model={"preset": "identity"})
+    if directory is None:
+        del cfg["output"]
+    path = write_config(tmp_path, cfg)
+    expected = directory or env or "crmatrix-out"
+    assert load_config(path).outdir == Path(expected)
+    assert load_config(path).task == "connection"
+    assert main(["run", "--config", str(path)] + (["--outdir", override] if override else [])) == 0
+    written = override or expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.json", written])
+    assert (tmp_path / written / "connection.csv").exists()
+
+
+def test_bad_output_directory_exits_2_writing_nothing(tmp_path, monkeypatch, capsys):
+    """An empty output.directory used to write into the working directory,
+    and a number or list ran the whole task before failing with a
+    TypeError; each now exits 2 naming the key before the task runs, even
+    with --outdir."""
+    monkeypatch.chdir(tmp_path)
+    for directory in ("", 5, ["a"], None):
+        cfg = base_config("connection", "unused", model={"preset": "identity"})
+        cfg["output"]["directory"] = directory
+        path = write_config(tmp_path, cfg)
+        for extra in ([], ["--outdir", "argout"]):
+            assert main(["run", "--config", str(path)] + extra) == 2
+            assert "output.directory must be a non-empty string" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 #: every task's documented files and their headers
 TASK_SCHEMAS = {
     "crm": {"crm.csv": ["m", "p", "n", "q", "re", "im"]},
@@ -474,6 +516,18 @@ MALFORMED = [
      "model.angles.dphi"),
     ("connection", {"angles": {"theta": "1.1", "phi": "k*a", "dphi": "a + 0*k"}}, {}, {},
      "model.angles.dtheta"),
+    ("crm", None, {}, {"output": {"directory": 5}}, "output.directory"),
+    ("crm", None, {}, {"output": {"directory": ["a"]}}, "output.directory"),
+    ("crm", None, {}, {"output": {"directory": ""}}, "output.directory"),
+    ("crm", None, {}, {"lattice": {"N": 16, "a": 1e-310, "n_bands": 2}},
+     "lattice.a: lattice_constant 1e-310 puts the zone width 2 pi / a past the float range"),
+    ("crm", None, {}, {"lattice": {"N": 17, "a": 1.2e307, "n_bands": 2}},
+     "lattice.a: lattice_constant 1.2e+307 puts the chain length (N - 1) a past the float range"),
+    ("crm", None, {}, {"lattice": {"N": 17, "a": 1e307, "n_bands": 2, "origin": 1e308}},
+     "lattice.origin: origin 1e+308 puts the last site past the float range"),
+    ("crm", None, {}, {"lattice": {"N": 16, "a": 1.0, "n_bands": 2, "origin": 1e308}},
+     "lattice.origin: origin 1e+308 puts the origin phase |origin| 2 pi / a past the float "
+     "range"),
 ]
 MALFORMED_IDS = [
     "seeds-type", "band-range", "n_lambda-zero", "preset-param-typo", "task-param-typo",
@@ -488,7 +542,9 @@ MALFORMED_IDS = [
     "pump-gap-overflows", "hamiltonian-gap-overflows", "hamiltonian-difference-overflows",
     "hamiltonian-imaginary-diagonal-overflows", "hamiltonian-nan-past-an-overflowing-modulus",
     "hamiltonian-modulus-overflows", "band-and-bands", "n_max_list-empty", "bands-empty",
-    "dtheta-without-dphi", "dphi-without-dtheta",
+    "dtheta-without-dphi", "dphi-without-dtheta", "output-directory-number",
+    "output-directory-list", "output-directory-empty", "a-zone-width-overflows",
+    "chain-length-overflows", "last-site-overflows", "origin-phase-overflows",
 ]
 
 
@@ -535,30 +591,76 @@ def two_band_angles(draw):
     return angles
 
 
+#: lattice mutations: grids too coarse for a loop, and lattice constants and
+#: origins at and past the float range of the zone width 2 pi / a, of the
+#: last site, of the origin phase and of |r_mn|^2
+LATTICE = st.fixed_dictionaries({
+    "N": st.sampled_from([2, 3, 16, 17]),
+    "a": st.sampled_from([1.0, 0.37, 5e-324, 1e-310, 1e-300, 1e-160, 1e100, 1e154, 1e300,
+                          1e307]),
+    "origin": st.sampled_from([0.0, -3.5, 1e-320, 1e300, -1e307, 1e308]),
+})
+#: task parameter mutations as (key, value), at and past the float range
+#: and the index ranges; a config takes those whose key its task has
+TASK_PARAM = st.sampled_from([
+    ("seeds", 1), ("seeds", 3), ("modes", 0), ("modes", 20), ("scale", 0.0), ("scale", 1e-320),
+    ("scale", 1e154), ("scale", 1e307), ("band", 1), ("band", 2), ("bands", [0, 1]),
+    ("kindex", 15), ("kindex", 16), ("eta", 1e-320), ("eta", 1e-300), ("eta", 1e154),
+    ("amplitude", 1e154), ("amplitude", 1e-320), ("frequencies", [1e-320, 1e308]),
+    ("frequencies", {"start": 0.0, "stop": 1e308, "count": 3}),
+    ("frequencies", {"start": 1.0, "stop": 2.0, "count": 0}), ("fillings", [1, 0]),
+    ("fillings", [0.5, 0.5]), ("n_lambda", 2), ("n_lambda", 3), ("windows", [8, 16]),
+    ("window", 1), ("centering", "centered"), ("samples", 64), ("n_max_list", [1, 2]),
+    ("orthogonality", {"n_max": 1, "N": 1}),
+])
+#: output mutations; None keeps the config's own directory
+OUTPUT = st.sampled_from([None, {"directory": 5}, {"directory": ""}, {"directory": ["a"]},
+                          {"directory": None}, {}, "out"])
+
+
 @pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(row=st.sampled_from(MALFORMED),
        model=st.one_of(st.none(), two_band_table().map(lambda h: {"hamiltonian": h}),
                        two_band_angles().map(lambda a: {"angles": a})),
-       defaults=st.booleans())
+       defaults=st.booleans(), lattice=st.none() | LATTICE,
+       changes=st.lists(TASK_PARAM, max_size=3), output=OUTPUT)
 @example(row=MALFORMED[MALFORMED_IDS.index("hamiltonian-modulus-overflows")], model=None,
-         defaults=True)
+         defaults=True, lattice=None, changes=[], output=None)
 @example(row=MALFORMED[MALFORMED_IDS.index("theta-range")],
-         model={"angles": {"theta": "pi + 1e-13", "phi": "k*a"}}, defaults=False)
-def test_config_fuzzer_exits_0_2_or_3(row, model, defaults):
+         model={"angles": {"theta": "pi + 1e-13", "phi": "k*a"}}, defaults=False, lattice=None,
+         changes=[], output=None)
+@example(row=MALFORMED[MALFORMED_IDS.index("a-nan")], model=None, defaults=True,
+         lattice={"N": 16, "a": 1e-310, "origin": 0.0}, changes=[], output=None)
+@example(row=MALFORMED[MALFORMED_IDS.index("a-nan")], model=None, defaults=True,
+         lattice={"N": 16, "a": 1.0, "origin": 1e308}, changes=[], output=None)
+@example(row=MALFORMED[MALFORMED_IDS.index("eta-zero")], model=None, defaults=True,
+         lattice={"N": 16, "a": 1e300, "origin": 0.0}, changes=[], output=None)
+def test_config_fuzzer_exits_0_2_or_3(row, model, defaults, lattice, changes, output):
     """A malformed config whose model section is kept or swapped for a
     2-band table or angle set toward the NB = 2 closed forms, with its task
-    params kept or dropped for the defaults, exits 0, 2 or 3 and raises
-    nothing; exit 2 or 3 leaves no output directory."""
+    params kept or dropped for the defaults, its lattice and its output
+    section mutated, and some task params set to extreme values, exits 0, 2
+    or 3 and raises nothing (a numpy warning is an error here).  Exit 2 or
+    3 writes nothing, exit 0 only its output directory, and every CSV cell
+    it writes is finite."""
     task, row_model, params, top, _ = row
+    entry = cli.TASKS.get(task) if isinstance(task, str) else None
+    params = {**({} if defaults else params),
+              **{key: value for key, value in changes if entry and key in entry.params}}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        cfg = {**base_config(task, out, model=model or row_model, **({} if defaults else params)),
-               **top}
+        cfg = {**base_config(task, out, model=model or row_model, **params), **top}
+        if lattice is not None:
+            cfg["lattice"] = {**cfg["lattice"], **lattice}
+        if output is not None:
+            cfg["output"] = output
         code = main(["run", "--config", str(write_config(Path(tmp), cfg))])
         event(f"exit {code}, {next(iter(cfg['model']))} model")
         assert code in (0, 2, 3), cfg
-        assert out.exists() == (code == 0), cfg
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["out", "run.json"][code != 0:], cfg
+        for path in out.glob("*.csv"):
+            assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.IGNORECASE), (cfg, path)
 
 
 @pytest.mark.parametrize("task, preset", [
@@ -598,10 +700,16 @@ TWO_POINTS = {"N": 2, "a": 1.0, "n_bands": 2}
      {"N": 4, "a": 1.0, "n_bands": 2}, 3, "DegenerateRibbon"),
     ({"hamiltonian": [["0", "0"], ["0", "0"]]}, "connection", None, 3, "DegenerateRibbon"),
     ({"hamiltonian": [["3", "0"], ["0", "3"]]}, "connection", None, 3, "DegenerateRibbon"),
+    (GRAPHENE, "shift-current", {"N": 16, "a": 1e300, "n_bands": 2}, 3,
+     "NonFiniteResult: shift current at omega 0.5 is nan: its terms overflow a float"),
+    (CHAIN, "divergence-demo", {"N": 16, "a": 1e307, "n_bands": 1}, 3,
+     "NonFiniteResult: the truncated <r> of the window W = 64 is inf: W a is past the float "
+     "range"),
 ], ids=["overflow-exit-2", "gap-closing-pump-exit-3", "loop-on-band-touching-exit-3",
         "zero-hopping-and-mass-exit-3", "berry-phase-two-points-exit-3",
         "gauge-audit-two-points-exit-3", "pump-two-points-exit-3", "crossing-bands-exit-3",
-        "zero-hamiltonian-exit-3", "scalar-hamiltonian-exit-3"])
+        "zero-hamiltonian-exit-3", "scalar-hamiltonian-exit-3", "shift-current-overflows-exit-3",
+        "truncation-window-overflows-exit-3"])
 def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, lattice, code,
                                                 error):
     """Errors found only while a task runs leave nothing behind: the output

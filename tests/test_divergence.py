@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from crmatrix import (SampledCellFunction, gapped_basis_gram, gapped_cell_basis,
-                      projection_residual, translation_audit,
+from crmatrix import (NonFiniteResult, SampledCellFunction, gapped_basis_gram,
+                      gapped_cell_basis, projection_residual, translation_audit,
                       truncated_position_expectation)
 from crmatrix.divergence import CENTERED, FROM_ORIGIN
 
@@ -18,6 +18,21 @@ def test_uniform_from_origin_closed_form():
     assert np.allclose(st.values, a * (st.windows - 1) / 2.0, atol=1e-12)
     assert st.slope == pytest.approx(a / 2, abs=1e-12)
     assert st.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e300])
+def test_lattice_constant_near_the_float_range(a):
+    """The fit runs in units of a and the gapped basis takes r / a, so the
+    slope is a / 2 and the residual 1 from a = 1e-300 to 1e300, with no
+    overflow; a window whose W a is past the float range refuses, naming W."""
+    st = truncated_position_expectation(uniform_cell(a), [8, 16, 32])
+    assert st.slope == pytest.approx(a / 2, rel=1e-12)
+    assert st.r_squared == pytest.approx(1.0, abs=1e-12)
+    vacuum = SampledCellFunction.from_callable(lambda r: np.where(r > a / 2, 1.0, 0.0), a,
+                                               256).normalized()
+    assert projection_residual(vacuum, 64) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NonFiniteResult, match="W = 4096 is inf"):
+        translation_audit(uniform_cell(1e306), 4096)
 
 
 def test_uniform_centered_odd_windows_vanish():

@@ -21,7 +21,7 @@ from crmatrix.gauge import (DIAGONAL_VALUE_TOL, LOOP_TOL, _fourier_coefficients,
                             gauge_inhomogeneous_term)
 from crmatrix.model import stack_unitarity_defect
 from crmatrix.presets import generic_two_band, graphene_loop, identity_field, qwz_pump
-from crmatrix.rmatrix import loop_phases
+from crmatrix.rmatrix import link_overlaps, loop_phases
 
 from conftest import smooth_field, three_band_hamiltonian
 
@@ -256,6 +256,16 @@ def test_loop_phases_of_a_stack_equal_berry_phase_per_slice(family):
         for j in range(fam.n_lambda):
             slice_phase = berry_phase(BlochField(grid=fam.grid, coeffs=fam.coeffs[:, j]), band)
             assert phases[j].tobytes() == np.float64(slice_phase).tobytes()
+
+
+def test_loop_phases_on_the_cut_is_plus_pi():
+    """A closed link product of -1 + 0j is the phase +pi: the documented
+    range is (-pi, pi], and -angle(-1 + 0j) alone is -pi."""
+    cols = np.array([[1, 0], [1, 1], [-1, 2]], dtype=complex)  # links 1, 1, -1
+    assert repr(np.prod(link_overlaps(cols, 0))) == repr(np.complex128(-1 + 0j))
+    assert float(loop_phases(cols)) == np.pi
+    stacked = loop_phases(np.stack([cols, cols], axis=1))
+    assert stacked.tobytes() == np.array([np.pi, np.pi]).tobytes()
 
 
 def test_berry_phase_diagonal_gauge_invariant_100_seeds():
@@ -567,9 +577,9 @@ def test_gauge_audit_trivial_and_constant_gauges(modes, scale):
 
 def test_gauge_audit_berry_phase_of_pi_is_invariant():
     """A Berry phase of pi sits on the branch cut of the angle: round-off
-    carries it to +pi under some gauges and leaves it at -pi under others.
-    Both are the same angle, so the row's delta is taken the short way
-    round the circle."""
+    leaves the link product on the negative real axis under some gauges,
+    which is +pi, the end of (-pi, pi] that loop_phases returns, and carries
+    it an ulp below +pi under others; no row lands at -pi."""
     grid = grid_of(64)
     k = grid.points
     hk = np.empty((64, 2, 2), dtype=complex)
@@ -577,9 +587,8 @@ def test_gauge_audit_berry_phase_of_pi_is_invariant():
     hk[:, 0, 1] = hk[:, 1, 0] = np.sin(k)
     rows = [r for r in gauge_audit(eigenfield_from_stack(hk, grid), 0, 5, 3, 0.3)
             if r.name == "berry_phase"]
-    assert {np.sign(r.after) for r in rows} == {-1.0, 1.0}
-    assert all(abs(abs(r.before) - np.pi) < 1e-15 and r.delta < 1e-15 and r.invariant
-               for r in rows)
+    assert all(r.before == np.pi and abs(r.after - np.pi) < 1e-15 and r.delta < 1e-15
+               and r.invariant for r in rows)
 
 
 def test_gauge_audit_memory_is_per_seed():
