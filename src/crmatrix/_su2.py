@@ -17,8 +17,8 @@ def stack(entries: tuple) -> np.ndarray:
 
 
 def entries(mats: np.ndarray) -> tuple:
-    """The entry table of an (N, 2, 2) stack, each entry a contiguous (N,) array."""
-    return tuple(tuple(np.ascontiguousarray(mats[:, m, n]) for n in range(2)) for m in range(2))
+    """The entry table of a (..., 2, 2) stack, each entry a contiguous (...) array."""
+    return tuple(tuple(np.ascontiguousarray(mats[..., m, n]) for n in range(2)) for m in range(2))
 
 
 def two_band_columns(theta, phi) -> np.ndarray:
@@ -137,13 +137,13 @@ def exp_i(h00: np.ndarray, h11: np.ndarray, h01: np.ndarray) -> tuple:
 
 
 def expm_i(generator: np.ndarray) -> np.ndarray:
-    """exp(i H) of a Hermitian (N, NB, NB) stack: :func:`exp_i` of its
+    """exp(i H) of a Hermitian (..., NB, NB) stack: :func:`exp_i` of its
     entries at NB = 2, otherwise one stacked eigh, V e^{i w} V^dag."""
     if generator.shape[-1] == 2:
         (h00, h01), (_, h11) = entries(generator)
         return stack(exp_i(h00.real, h11.real, h01))
     w, v = np.linalg.eigh(generator)
-    return np.einsum("pmi,pi,pni->pmn", v, np.exp(1j * w), v.conj())
+    return np.einsum("...mi,...i,...ni->...mn", v, np.exp(1j * w), v.conj())
 
 
 def sandwich(u: tuple, m: tuple, pairs) -> list:

@@ -2,10 +2,10 @@
 
 ``crmatrix run --config run.json`` executes one named task and writes CSV
 files plus a manifest into the output directory; ``crmatrix list-presets``
-prints the shipped model presets.  Exit codes: 0 success, 2 config error,
-3 numerical guard tripped.  The output directory is ``--outdir``, else the
-config's ``output.directory``, else the CRMATRIX_OUTDIR environment
-variable when it is set and non-empty, else ``crmatrix-out``.
+prints the shipped model presets.  Exit codes: 0 success, 2 config error or
+a size past the memory the machine can allocate, 3 numerical guard tripped.
+The output directory is ``--outdir``, else ``output.directory`` (each must
+be non-empty), else a non-empty CRMATRIX_OUTDIR, else ``crmatrix-out``.
 """
 
 from __future__ import annotations
@@ -579,11 +579,17 @@ def main(argv=None) -> int:
         ctx = load_config(args.config)
         if args.seed is not None:
             ctx = ctx._replace(seed=_integer(args.seed, "--seed", 0))
+        if args.outdir == "":
+            raise ConfigError("--outdir must be a non-empty string")
         if args.outdir:
             ctx = ctx._replace(outdir=Path(args.outdir))
         return run(ctx, verbose=args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's text names the array it could not allocate
+        print(f"config error: the run needs more memory than the machine can allocate: {exc}",
+              file=sys.stderr)
         return 2
     except NumericalGuardError as exc:
         print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)

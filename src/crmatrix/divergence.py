@@ -12,6 +12,7 @@ represent weight placed in its vacuum region.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,23 +88,18 @@ class SampledCellFunction:
         return float(np.real(self.integrate(self.density() * (self.positions - a / 2.0))))
 
 
-def _window_offsets(w: int, centering: str) -> np.ndarray:
-    """The cell offsets of a window of ``w`` cells, in units of a."""
-    if centering == FROM_ORIGIN:
-        return np.arange(w, dtype=float)
-    if centering == CENTERED:
-        return np.arange(w) - (w - 1) / 2.0
-    raise ValueError(f"unknown centering {centering!r}")
-
-
-def _window_mean(cell_mean: float, a: float, offsets: np.ndarray) -> float:
-    """The truncated <r> of a window of W cells at ``offsets`` (units of a),
-    cell_mean + a mean(offsets); a window whose W a is past the float range
-    raises :class:`NonFiniteResult`, naming W and the value."""
+def _window_mean(cell_mean: float, a: float, w: int, centering: str, shift: int = 0) -> float:
+    """The truncated <r> of a window of ``w`` cells moved by ``shift`` cells,
+    cell_mean + a (mean cell offset + shift), in closed form: the mean offset
+    is (W - 1) / 2 from the origin (inf for a W past the float range) and 0
+    centered.  A non-finite value raises :class:`NonFiniteResult`, naming W."""
+    if centering not in CENTERINGS:
+        raise ValueError(f"unknown centering {centering!r}")
+    offset = 0.0 if centering == CENTERED else (w - 1) / 2.0 if w <= sys.float_info.max else np.inf
     with np.errstate(over="ignore"):
-        value = float(cell_mean + a * np.mean(offsets))
+        value = float(cell_mean + a * (offset + shift))
     if not np.isfinite(value):
-        raise NonFiniteResult(f"the truncated <r> of the window W = {len(offsets)} is {value}: "
+        raise NonFiniteResult(f"the truncated <r> of the window W = {w} is {value}: "
                               f"W a is past the float range")
     return value
 
@@ -130,16 +126,15 @@ def truncated_position_expectation(cell_fn: SampledCellFunction, windows: Sequen
     """Truncated diagonal <r> of a Bloch-extended cell function.
 
     The Bloch phases e^{i k R_j} drop out of the diagonal density, so the
-    W-cell expectation is the per-cell mean plus the mean window offset,
-    evaluated cell by cell with trapezoid quadrature.  A linear fit of
-    value against W is attached; an unbounded slope-away-from-zero fit is
-    the divergence signature of the untruncated matrix element.
+    W-cell expectation is the per-cell mean, by trapezoid quadrature, plus
+    a times the window's mean cell offset, in closed form: (W - 1) / 2 from
+    the origin, 0 centered.  A linear fit of value against W is attached;
+    an unbounded slope-away-from-zero fit is the divergence signature of
+    the untruncated matrix element.
     """
     windows = check_windows(windows)
-    cell_mean = cell_fn.cell_mean_position()
-    a = cell_fn.lattice_constant
-    values = np.array([_window_mean(cell_mean, a, _window_offsets(w, centering))
-                       for w in windows])
+    cell_mean, a = cell_fn.cell_mean_position(), cell_fn.lattice_constant
+    values = np.array([_window_mean(cell_mean, a, w, centering) for w in windows])
 
     # the fit runs in units of a, so its squares stay floats at any lattice constant
     x, y = windows.astype(float), values / a
@@ -175,11 +170,10 @@ def translation_audit(cell_fn: SampledCellFunction, window: int,
     silently divides infinity by itself; at finite truncation the
     boundary-cell exchange is always there and is always -a.
     """
-    a = cell_fn.lattice_constant
-    cell_mean = cell_fn.cell_mean_position()
-    offs = _window_offsets(window, centering)
-    return TranslationAudit(before=_window_mean(cell_mean, a, offs),
-                            after=_window_mean(cell_mean, a, offs - 1.0), predicted_shift=-a)
+    a, cell_mean = cell_fn.lattice_constant, cell_fn.cell_mean_position()
+    return TranslationAudit(before=_window_mean(cell_mean, a, window, centering),
+                            after=_window_mean(cell_mean, a, window, centering, -1),
+                            predicted_shift=-a)
 
 
 def gapped_cell_basis(n_max: int, lattice_constant: float,

@@ -124,12 +124,13 @@ def _generator(coeffs: np.ndarray, table: tuple, grid: KGrid, kderiv: bool = Fal
 
 
 def _hermitian_stack(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The (N, NB, NB) stack of a :func:`_generator` without leading axes,
-    each entry below the diagonal the conjugate of the one above it."""
+    """The (..., N, NB, NB) stack of a :func:`_generator`, each entry below
+    the diagonal the conjugate of the one above it."""
     nb, (rows, cols) = len(diag), np.triu_indices(len(diag), 1)
     out = np.empty(diag.shape[1:] + (nb, nb), dtype=complex)
-    out[:, range(nb), range(nb)] = diag.T
-    out[:, rows, cols], out[:, cols, rows] = upper.T, upper.T.conj()
+    upper = np.moveaxis(upper, 0, -1)
+    out[..., range(nb), range(nb)] = np.moveaxis(diag, 0, -1)
+    out[..., rows, cols], out[..., cols, rows] = upper, upper.conj()
     return out
 
 
@@ -335,8 +336,8 @@ def gauge_audit(field: BlochField, seed: int, seeds: int, modes: int, scale: flo
     above N = 2048), so the audit holds O(1) connection-sized stacks
     however many seeds it runs.  Each seed
     draws its own coefficients, every step is elementwise along the seeds
-    (eigh runs seed by seed for NB != 2) and every k-sum runs over a
-    contiguous k axis, so a row does not depend on the block it is in.
+    (eigh too, matrix by matrix) and every k-sum runs over a contiguous k
+    axis, so a row does not depend on the block it is in.
     The rows equal, bit for bit, those of whole-field
     :func:`apply_gauge_to_field` and :func:`gauge_transform`
     (:func:`similarity_transform` plus d_k tr H for the trace loop).  A
@@ -387,8 +388,8 @@ def _traced_loops(conn: np.ndarray, conn_entries, block: range, modes: int, scal
                   table: tuple, grid: KGrid) -> np.ndarray:
     """The U(NB) rows of :func:`gauge_audit` for the gauge seeds ``block +
     10000``, shaped (seeds,): the loop of the traced diagonal of U M U^dag
-    plus d_k tr H.  NB = 2 (``conn_entries`` given) takes the closed form
-    for the whole block, any other NB eigh seed by seed."""
+    plus d_k tr H, for the whole block at once: NB = 2 (``conn_entries``
+    given) by the closed form, any other NB by eigh and one einsum."""
     nb = conn.shape[-1]
     diag, upper = _generator(np.stack([_fourier_coefficients(nb, modes, s + 10_000, scale, False)
                                        for s in block], axis=2), table, grid)
@@ -396,10 +397,8 @@ def _traced_loops(conn: np.ndarray, conn_entries, block: range, modes: int, scal
         s00, s11 = _su2.sandwich(_su2.exp_i(*diag, *upper), conn_entries, ((0, 0), (1, 1)))
         traced = s00 + s11
     else:
-        traced = np.empty((len(block), grid.n), dtype=complex)
-        for row in range(len(block)):
-            full = _su2.expm_i(_hermitian_stack(diag[:, row], upper[:, row]))
-            traced[row] = np.einsum("pmi,pij,pmj->pm", full, conn, full.conj()).sum(axis=1)
+        full = _su2.expm_i(_hermitian_stack(diag, upper))
+        traced = np.einsum("spmi,pij,spmj->spm", full, conn, full.conj()).sum(axis=-1)
     # the float trace, differenced in complex as in _phase_gauge_rows
     traced += central_difference(diag.sum(axis=0).astype(complex), grid.spacing, axis=-1)
     return _loop_sum(traced, grid, axis=-1)

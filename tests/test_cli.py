@@ -260,16 +260,18 @@ def test_bad_output_directory_exits_2_writing_nothing(tmp_path, monkeypatch, cap
     """An empty output.directory used to write into the working directory,
     and a number or list ran the whole task before failing with a
     TypeError; each now exits 2 naming the key before the task runs, even
-    with --outdir."""
+    with --outdir.  An empty --outdir, which fell back to the config's
+    directory, exits 2 naming --outdir."""
     monkeypatch.chdir(tmp_path)
-    for directory in ("", 5, ["a"], None):
+    cases = [(directory, extra, "output.directory") for directory in ("", 5, ["a"], None)
+             for extra in ([], ["--outdir", "argout"])] + [("out", ["--outdir", ""], "--outdir")]
+    for directory, extra, key in cases:
         cfg = base_config("connection", "unused", model={"preset": "identity"})
         cfg["output"]["directory"] = directory
         path = write_config(tmp_path, cfg)
-        for extra in ([], ["--outdir", "argout"]):
-            assert main(["run", "--config", str(path)] + extra) == 2
-            assert "output.directory must be a non-empty string" in capsys.readouterr().err
-            assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+        assert main(["run", "--config", str(path)] + extra) == 2
+        assert f"{key} must be a non-empty string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 #: every task's documented files and their headers
@@ -591,11 +593,11 @@ def two_band_angles(draw):
     return angles
 
 
-#: lattice mutations: grids too coarse for a loop, and lattice constants and
-#: origins at and past the float range of the zone width 2 pi / a, of the
-#: last site, of the origin phase and of |r_mn|^2
+#: lattice mutations: grids too coarse for a loop or past any machine's
+#: memory, and lattice constants and origins at and past the float range of
+#: the zone width 2 pi / a, of the last site, of the origin phase and of |r_mn|^2
 LATTICE = st.fixed_dictionaries({
-    "N": st.sampled_from([2, 3, 16, 17]),
+    "N": st.sampled_from([2, 3, 16, 17, 2 ** 40]),
     "a": st.sampled_from([1.0, 0.37, 5e-324, 1e-310, 1e-300, 1e-160, 1e100, 1e154, 1e300,
                           1e307]),
     "origin": st.sampled_from([0.0, -3.5, 1e-320, 1e300, -1e307, 1e308]),
@@ -612,6 +614,11 @@ TASK_PARAM = st.sampled_from([
     ("fillings", [0.5, 0.5]), ("n_lambda", 2), ("n_lambda", 3), ("windows", [8, 16]),
     ("window", 1), ("centering", "centered"), ("samples", 64), ("n_max_list", [1, 2]),
     ("orthogonality", {"n_max": 1, "N": 1}),
+    # sizes past any machine's memory exit 2; windows are a closed form and run
+    ("window", 2 ** 40), ("windows", [8, 2 ** 40]), ("samples", 2 ** 40),
+    ("n_max_list", [2 ** 40]), ("modes", 2 ** 40), ("n_lambda", 2 ** 40),
+    ("frequencies", {"start": 1.0, "stop": 2.0, "count": 2 ** 40}),
+    ("orthogonality", {"n_max": 1, "N": 2 ** 40}),
 ])
 #: output mutations; None keeps the config's own directory
 OUTPUT = st.sampled_from([None, {"directory": 5}, {"directory": ""}, {"directory": ["a"]},
@@ -687,35 +694,38 @@ def test_integer_power_is_taken_in_floats(tmp_path, capsys):
 TWO_POINTS = {"N": 2, "a": 1.0, "n_bands": 2}
 
 
-@pytest.mark.parametrize("model, task, lattice, code, error", [
-    ({"angles": {"theta": "1.1", "phi": "k*a + 9**9**9**9"}}, "connection", None, 2, None),
-    ({"preset": "qwz-pump", "params": {"mu": 0.0}}, "pump", None, 3, "DegenerateRibbon"),
-    ({"preset": "graphene-ribbon", "params": {"radius": 0}}, "connection", None, 3,
+@pytest.mark.parametrize("model, task, lattice, params, code, error", [
+    ({"angles": {"theta": "1.1", "phi": "k*a + 9**9**9**9"}}, "connection", None, {}, 2, None),
+    ({"preset": "qwz-pump", "params": {"mu": 0.0}}, "pump", None, {}, 3, "DegenerateRibbon"),
+    ({"preset": "graphene-ribbon", "params": {"radius": 0}}, "connection", None, {}, 3,
      "DegenerateRibbon"),
-    ({"preset": "graphene-ribbon", "params": {"hopping": 0}}, "crm", None, 3, "DegenerateRibbon"),
-    (None, "berry-phase", TWO_POINTS, 3, "UnderResolvedGrid"),
-    (None, "gauge-audit", TWO_POINTS, 3, "UnderResolvedGrid"),
-    ({"preset": "qwz-pump"}, "pump", TWO_POINTS, 3, "UnderResolvedGrid"),
+    ({"preset": "graphene-ribbon", "params": {"hopping": 0}}, "crm", None, {}, 3,
+     "DegenerateRibbon"),
+    (None, "berry-phase", TWO_POINTS, {}, 3, "UnderResolvedGrid"),
+    (None, "gauge-audit", TWO_POINTS, {}, 3, "UnderResolvedGrid"),
+    ({"preset": "qwz-pump"}, "pump", TWO_POINTS, {}, 3, "UnderResolvedGrid"),
     ({"hamiltonian": [["cos(k)", "0"], ["0", "-cos(k)"]]}, "connection",
-     {"N": 4, "a": 1.0, "n_bands": 2}, 3, "DegenerateRibbon"),
-    ({"hamiltonian": [["0", "0"], ["0", "0"]]}, "connection", None, 3, "DegenerateRibbon"),
-    ({"hamiltonian": [["3", "0"], ["0", "3"]]}, "connection", None, 3, "DegenerateRibbon"),
-    (GRAPHENE, "shift-current", {"N": 16, "a": 1e300, "n_bands": 2}, 3,
+     {"N": 4, "a": 1.0, "n_bands": 2}, {}, 3, "DegenerateRibbon"),
+    ({"hamiltonian": [["0", "0"], ["0", "0"]]}, "connection", None, {}, 3, "DegenerateRibbon"),
+    ({"hamiltonian": [["3", "0"], ["0", "3"]]}, "connection", None, {}, 3, "DegenerateRibbon"),
+    (GRAPHENE, "shift-current", {"N": 16, "a": 1e300, "n_bands": 2}, {}, 3,
      "NonFiniteResult: shift current at omega 0.5 is nan: its terms overflow a float"),
-    (CHAIN, "divergence-demo", {"N": 16, "a": 1e307, "n_bands": 1}, 3,
+    (CHAIN, "divergence-demo", {"N": 16, "a": 1e307, "n_bands": 1}, {}, 3,
      "NonFiniteResult: the truncated <r> of the window W = 64 is inf: W a is past the float "
      "range"),
+    (CHAIN, "divergence-demo", {"N": 16, "a": 1.0, "n_bands": 1}, {"window": 10 ** 400}, 3,
+     f"NonFiniteResult: the truncated <r> of the window W = {10 ** 400} is inf"),
 ], ids=["overflow-exit-2", "gap-closing-pump-exit-3", "loop-on-band-touching-exit-3",
         "zero-hopping-and-mass-exit-3", "berry-phase-two-points-exit-3",
         "gauge-audit-two-points-exit-3", "pump-two-points-exit-3", "crossing-bands-exit-3",
         "zero-hamiltonian-exit-3", "scalar-hamiltonian-exit-3", "shift-current-overflows-exit-3",
-        "truncation-window-overflows-exit-3"])
-def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, lattice, code,
-                                                error):
+        "truncation-window-overflows-exit-3", "window-past-the-float-range-exit-3"])
+def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, lattice, params,
+                                                code, error):
     """Errors found only while a task runs leave nothing behind: the output
     directory is created after the task succeeds."""
     out = tmp_path / "not-yet"
-    cfg = base_config(task, tmp_path / "unused", model=model, lattice=lattice)
+    cfg = base_config(task, tmp_path / "unused", model=model, lattice=lattice, **params)
     assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--outdir", str(out)]) == code
     if error is not None:
         assert error in capsys.readouterr().err

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crmatrix import (NonFiniteResult, SampledCellFunction, gapped_basis_gram,
                       gapped_cell_basis, projection_residual, translation_audit,
                       truncated_position_expectation)
-from crmatrix.divergence import CENTERED, FROM_ORIGIN
+from crmatrix.divergence import CENTERED, CENTERINGS, FROM_ORIGIN, _window_mean
 
 
 def uniform_cell(a=1.0, m=256):
@@ -33,6 +35,50 @@ def test_lattice_constant_near_the_float_range(a):
     assert projection_residual(vacuum, 64) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NonFiniteResult, match="W = 4096 is inf"):
         translation_audit(uniform_cell(1e306), 4096)
+
+
+def test_closed_form_window_mean_keeps_the_bits_of_the_offset_mean():
+    """The mean cell offset, (W - 1) / 2 from the origin and 0 centered,
+    before and after the one-cell translation, keeps the bits of the mean
+    of the W offsets, one float per cell, that the truncated <r> took
+    before it was a closed form."""
+    windows = list(range(1, 4097)) + [2 ** k + d for k in range(13, 21) for d in (-1, 1)]
+    for centering in CENTERINGS:
+        want, got = [], []
+        for w in windows:
+            offsets = (np.arange(w, dtype=float) if centering == FROM_ORIGIN
+                       else np.arange(w) - (w - 1) / 2.0)
+            want += [np.mean(offsets), np.mean(offsets - 1.0)]
+            got += [_window_mean(0.0, 1.0, w, centering), _window_mean(0.0, 1.0, w, centering, -1)]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), centering
+
+
+def test_window_means_hold_no_window_sized_array():
+    """The truncated <r> is a closed form in W: a window of 10**7 cells, or
+    of 2**40, allocates nothing of its size."""
+    cell = uniform_cell()
+    tracemalloc.start()
+    try:
+        audit = translation_audit(cell, 10 ** 7)
+        study = truncated_position_expectation(cell, [8, 2 ** 40])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    cell_mean = cell.cell_mean_position()
+    assert (audit.before, audit.after) == (cell_mean + 4999999.5, cell_mean + 4999998.5)
+    assert study.values[-1] == cell_mean + (2 ** 40 - 1) / 2.0
+
+
+def test_window_past_the_float_range_refuses_naming_w():
+    """A W that no float holds refuses from the origin, where the value
+    grows with W, and gives the cell mean centered, where it does not."""
+    cell = uniform_cell()
+    with pytest.raises(NonFiniteResult, match=f"W = {10 ** 400} is inf"):
+        translation_audit(cell, 10 ** 400)
+    audit = translation_audit(cell, 10 ** 400, CENTERED)
+    assert (audit.before, audit.after) == (cell.cell_mean_position(),
+                                           cell.cell_mean_position() - 1.0)
 
 
 def test_uniform_centered_odd_windows_vanish():
