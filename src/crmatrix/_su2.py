@@ -1,8 +1,8 @@
 """The 2x2 algebra: a two-band H = t I + b.sigma is spin-1/2 su(2), so its
 eigen path, exp(i H) and U M U^dag have closed forms, all on one entry table
 ((x00, x01), (x10, x11)) that :func:`stack` lays out as a stack.
-:func:`eigh`, :func:`defect` and :func:`expm_i` take any NB: the closed form
-at NB = 2, ``np.linalg.eigh`` (or the whole H - H^dag) otherwise.
+:func:`eigh` and :func:`expm_i` take any NB: the closed form at NB = 2,
+``np.linalg.eigh`` otherwise.  :func:`defect` is one entry-pair pass at any NB.
 """
 
 import numpy as np
@@ -111,16 +111,18 @@ def eigh(hk: np.ndarray, energies: np.ndarray, coeffs: np.ndarray) -> None:
 
 def defect(hk: np.ndarray, out: np.ndarray) -> None:
     """The largest entry of |H - H^dag| of each matrix of a (P, NB, NB)
-    stack, written into ``out`` (P,).  For NB = 2 it is taken as
-    max(|H01 - conj H10|, 2 |Im H00|, 2 |Im H11|), without the whole
-    difference: the same bits, and the same overflow in a subtraction."""
-    if hk.shape[-1] == 2:
-        diagonal = np.maximum(np.abs(hk[:, 0, 0].imag), np.abs(hk[:, 1, 1].imag))
-        np.subtract(diagonal, -diagonal, out=diagonal)  # |Im(H_ii - conj H_ii)|
-        np.abs(hk[:, 0, 1] - hk[:, 1, 0].conj(), out=out)
-        np.maximum(out, diagonal, out=out)
-    else:
-        np.max(np.abs(hk - np.swapaxes(hk, -1, -2).conj()), axis=(-2, -1), out=out)
+    stack, written into ``out`` (P,), one entry pair at a time, without the
+    whole difference: 2 |Im H_ii| on the diagonal, |H_ij - conj H_ji| for
+    i < j (the same bits as |H_ji - conj H_ij|), and the same overflow in a
+    subtraction."""
+    nb = hk.shape[-1]
+    np.abs(hk[:, 0, 0].imag, out=out)
+    for i in range(1, nb):
+        np.maximum(out, np.abs(hk[:, i, i].imag), out=out)
+    np.subtract(out, -out, out=out)  # |Im(H_ii - conj H_ii)|
+    for i in range(nb):
+        for j in range(i + 1, nb):
+            np.maximum(out, np.abs(hk[:, i, j] - hk[:, j, i].conj()), out=out)
 
 
 def exp_i(h00: np.ndarray, h11: np.ndarray, h01: np.ndarray) -> tuple:
@@ -148,12 +150,7 @@ def expm_i(generator: np.ndarray) -> np.ndarray:
 
 def sandwich(u: tuple, m: tuple, pairs) -> list:
     """The entries (r, c) in ``pairs`` of U M U^dag, for U and M given as
-    2x2 entry tables, from explicit products: row r of V = U M is built
-    only for the rows ``pairs`` ask for, one row at a time, and then
+    2x2 entry tables, from explicit products: V = U M, then
     (U M U^dag)_rc = V_r0 conj(U_c0) + V_r1 conj(U_c1)."""
-    out = {}
-    for r in dict.fromkeys(r for r, _ in pairs):
-        v0, v1 = (u[r][0] * m[0][j] + u[r][1] * m[1][j] for j in range(2))
-        for c in (c for q, c in pairs if q == r):
-            out[r, c] = v0 * u[c][0].conj() + v1 * u[c][1].conj()
-    return [out[pair] for pair in pairs]
+    v = [[u[r][0] * m[0][j] + u[r][1] * m[1][j] for j in range(2)] for r in range(2)]
+    return [v[r][0] * u[c][0].conj() + v[r][1] * u[c][1].conj() for r, c in pairs]

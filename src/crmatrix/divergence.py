@@ -12,6 +12,7 @@ represent weight placed in its vacuum region.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -104,18 +105,19 @@ def _window_mean(cell_mean: float, a: float, w: int, centering: str, shift: int 
     return value
 
 
-def check_windows(windows: Sequence[int]) -> np.ndarray:
-    """Truncation windows as an integer array; a line is fitted through
-    them, so there must be at least 2, strictly increasing and >= 1."""
-    windows = np.asarray(list(windows), dtype=int)
-    if len(windows) < 2 or np.any(windows < 1) or np.any(np.diff(windows) <= 0):
+def check_windows(windows: Sequence[int]) -> tuple:
+    """Truncation windows as a tuple of Python ints, of any size; a line is
+    fitted through them, so there must be at least 2, strictly increasing
+    and >= 1."""
+    windows = tuple(map(operator.index, windows))
+    if len(windows) < 2 or windows[0] < 1 or any(w <= v for v, w in zip(windows, windows[1:])):
         raise ValueError("windows must be at least 2, strictly increasing and >= 1")
     return windows
 
 
 @dataclass(frozen=True)
 class TruncationStudy:
-    windows: np.ndarray
+    windows: tuple
     values: np.ndarray
     slope: float
     r_squared: float
@@ -130,19 +132,26 @@ def truncated_position_expectation(cell_fn: SampledCellFunction, windows: Sequen
     a times the window's mean cell offset, in closed form: (W - 1) / 2 from
     the origin, 0 centered.  A linear fit of value against W is attached;
     an unbounded slope-away-from-zero fit is the divergence signature of
-    the untruncated matrix element.
+    the untruncated matrix element.  A W past the float range raises
+    :class:`NonFiniteResult`, naming W: from the origin its value is inf,
+    and centered it has no place on the fit's axis.
     """
     windows = check_windows(windows)
     cell_mean, a = cell_fn.cell_mean_position(), cell_fn.lattice_constant
     values = np.array([_window_mean(cell_mean, a, w, centering) for w in windows])
+    if windows[-1] > sys.float_info.max:
+        raise NonFiniteResult(f"the window W = {windows[-1]} is past the float range of the "
+                              f"truncation fit")
 
-    # the fit runs in units of a, so its squares stay floats at any lattice constant
-    x, y = windows.astype(float), values / a
+    # the fit runs in units of a and of the power of two of the widest window
+    # (an exact scaling), so its squares stay floats at any lattice constant and W
+    exponent = np.frexp(float(windows[-1]))[1]
+    x, y = np.ldexp(np.array(windows, dtype=float), -exponent), np.ldexp(values / a, -exponent)
     slope, intercept = np.polyfit(x, y, 1)
     ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     # a spread at round-off of the widest window is a flat (centered) run
-    flat = np.ptp(y) <= 1e-12 * windows[-1]
+    flat = np.ptp(y) <= 1e-12 * x[-1]
     r_squared = 1.0 if flat else 1.0 - ss_res / ss_tot
     return TruncationStudy(windows=windows, values=values, slope=float(slope * a),
                            r_squared=r_squared)

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _su2
 from .errors import NonHermitianInput, UnderResolvedGrid, ZeroOverlap
 from .model import ROW_BLOCK, BlochField, KGrid, _first, _row_blocks, _where
 
@@ -70,18 +71,19 @@ def berry_connection(field: BlochField) -> ConnectionField:
 
     Uses the field's analytic column derivatives when present; otherwise
     central differences with periodic wrap.  The finite-difference result
-    is symmetrised to (A + A^dag)/2 and the pre-symmetrisation defect is
-    kept on the returned field; the analytic path is Hermitian by
-    construction and is not touched.
+    is symmetrised to (A + A^dag)/2 and the pre-symmetrisation defect, the
+    largest :func:`_su2.defect` of its points, is kept on the returned field;
+    the analytic path is Hermitian by construction and is not touched.
     """
     analytic = field.dcoeffs is not None
     dc = field.dcoeffs if analytic else central_difference(field.coeffs, field.grid.spacing, axis=0)
     a = 1j * np.einsum("plm,pln->pmn", field.coeffs.conj(), dc)
-    defect = 0.0
-    if not analytic:
-        defect = float(np.max(np.abs(a - a.conj().transpose(0, 2, 1))))
-        a = (a + a.conj().transpose(0, 2, 1)) / 2.0
-    return ConnectionField(grid=field.grid, values=a, hermiticity_defect=defect)
+    if analytic:
+        return ConnectionField(grid=field.grid, values=a)
+    defect = np.empty(len(a))
+    _su2.defect(a, defect)
+    a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    return ConnectionField(grid=field.grid, values=a, hermiticity_defect=float(np.max(defect)))
 
 
 def reduced_position_matrix(field: BlochField,

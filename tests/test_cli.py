@@ -393,6 +393,16 @@ def test_complex_table_writes_the_rows_of_whole_table_indices(tmp_path, shape):
     assert written == whole == values.size
 
 
+def test_index_column_honours_a_slice_step():
+    """A stepped slice of an index column is that slice of np.indices."""
+    shape = (3, 5, 4)
+    index = np.indices(shape).reshape(len(shape), -1)
+    for axis in range(len(shape)):
+        column = cli._IndexColumn(shape, axis)
+        for rows in (slice(1, 9, 3), slice(None, None, -7), slice(50, 2, -5)):
+            assert np.array_equal(column[rows], index[axis][rows]), (axis, rows)
+
+
 def test_complex_table_holds_no_whole_table_index(tmp_path):
     """At NB = 2, N = 256 the crm table has 262,144 rows, whose four int64
     indices take 8 MiB; writing its index columns peaks at about 0.25 MiB,
@@ -715,11 +725,17 @@ TWO_POINTS = {"N": 2, "a": 1.0, "n_bands": 2}
      "range"),
     (CHAIN, "divergence-demo", {"N": 16, "a": 1.0, "n_bands": 1}, {"window": 10 ** 400}, 3,
      f"NonFiniteResult: the truncated <r> of the window W = {10 ** 400} is inf"),
+    (CHAIN, "divergence-demo", {"N": 16, "a": 1.0, "n_bands": 1}, {"windows": [8, 10 ** 400]}, 3,
+     f"NonFiniteResult: the truncated <r> of the window W = {10 ** 400} is inf"),
+    (CHAIN, "divergence-demo", {"N": 16, "a": 1.0, "n_bands": 1},
+     {"windows": [8, 10 ** 400], "centering": "centered"}, 3,
+     f"NonFiniteResult: the window W = {10 ** 400} is past the float range"),
 ], ids=["overflow-exit-2", "gap-closing-pump-exit-3", "loop-on-band-touching-exit-3",
         "zero-hopping-and-mass-exit-3", "berry-phase-two-points-exit-3",
         "gauge-audit-two-points-exit-3", "pump-two-points-exit-3", "crossing-bands-exit-3",
         "zero-hamiltonian-exit-3", "scalar-hamiltonian-exit-3", "shift-current-overflows-exit-3",
-        "truncation-window-overflows-exit-3", "window-past-the-float-range-exit-3"])
+        "truncation-window-overflows-exit-3", "window-past-the-float-range-exit-3",
+        "windows-past-the-float-range-exit-3", "centered-windows-past-the-float-range-exit-3"])
 def test_failed_run_creates_no_output_directory(tmp_path, capsys, model, task, lattice, params,
                                                 code, error):
     """Errors found only while a task runs leave nothing behind: the output
@@ -805,6 +821,18 @@ def test_centered_divergence_demo_passes_fit_guard(tmp_path):
     cfg = base_config("divergence-demo", tmp_path / "out", model=CHAIN,
                       lattice={"N": 16, "a": 7.3, "n_bands": 1}, centering="centered")
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+
+
+def test_windows_past_int64_run(tmp_path):
+    """Windows are kept as the config's ints: W = 2**63, past int64, runs
+    and is written as it was given."""
+    out = tmp_path / "out"
+    cfg = base_config("divergence-demo", out, model=CHAIN,
+                      lattice={"N": 16, "a": 1.0, "n_bands": 1}, windows=[8, 2 ** 63])
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    rows = read_csv(out / "truncation.csv")
+    assert [row[0] for row in rows] == ["W", "8", str(2 ** 63)]
+    assert rows[2][1] == "4.6116860184273879e+18"
 
 
 def test_truncation_fit_guard_exits_3(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from crmatrix import (NonFiniteResult, SampledCellFunction, gapped_basis_gram,
                       gapped_cell_basis, projection_residual, translation_audit,
                       truncated_position_expectation)
-from crmatrix.divergence import CENTERED, CENTERINGS, FROM_ORIGIN, _window_mean
+from crmatrix.divergence import (CENTERED, CENTERINGS, FROM_ORIGIN, _window_mean,
+                                 check_windows)
 
 
 def uniform_cell(a=1.0, m=256):
@@ -17,7 +18,7 @@ def test_uniform_from_origin_closed_form():
     a = 1.0
     st = truncated_position_expectation(uniform_cell(a), [1, 2, 4, 8, 16, 32],
                                         FROM_ORIGIN)
-    assert np.allclose(st.values, a * (st.windows - 1) / 2.0, atol=1e-12)
+    assert np.allclose(st.values, a * (np.array(st.windows) - 1) / 2.0, atol=1e-12)
     assert st.slope == pytest.approx(a / 2, abs=1e-12)
     assert st.r_squared == pytest.approx(1.0, abs=1e-12)
 
@@ -79,6 +80,19 @@ def test_window_past_the_float_range_refuses_naming_w():
     audit = translation_audit(cell, 10 ** 400, CENTERED)
     assert (audit.before, audit.after) == (cell.cell_mean_position(),
                                            cell.cell_mean_position() - 1.0)
+
+
+def test_windows_are_python_ints_of_any_size():
+    """Windows are kept as ints past int64 and past the float range, and
+    fitted up to the top of the float range; one that is not an integer is
+    refused, not cast."""
+    assert check_windows(np.array([8, 16])) == (8, 16)
+    assert check_windows([8, 2 ** 63, 10 ** 400]) == (8, 2 ** 63, 10 ** 400)
+    with pytest.raises(TypeError):
+        check_windows([8.0, 16.5])
+    # the fit's squares stay floats up to the top of the float range
+    st = truncated_position_expectation(uniform_cell(), [8, 2 ** 63, 10 ** 300])
+    assert st.slope == pytest.approx(0.5, rel=1e-12) and st.r_squared == 1.0
 
 
 def test_uniform_centered_odd_windows_vanish():

@@ -531,33 +531,45 @@ def test_stack_guards_name_the_first_bad_index():
         pump_family_from_stack(qwz, grid)
 
 
-#: a 2 x 2 matrix scale: subnormal, small, 1 or near the top of the float range
+#: a matrix scale: subnormal, small, 1 or near the top of the float range
 DEFECT_SCALE = st.sampled_from([1e-310, 1e-150, 1.0, 1e300])
 DEFECT_ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-10, 1e-10),
                          st.floats(-1e3, 1e3))
+#: NB from 1 to 4, and 1 to 8 NB x NB matrices, each a scale and 2 NB^2 entries
+DEFECT_STACK = st.integers(1, 4).flatmap(lambda nb: st.tuples(st.just(nb), st.lists(
+    st.tuples(DEFECT_SCALE, *[DEFECT_ENTRY] * (2 * nb * nb)), min_size=1, max_size=8)))
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(DEFECT_SCALE, *[DEFECT_ENTRY] * 8), min_size=1, max_size=8))
-@example([(1e300, 1e3, -1e3, 1e3, -1e3, 1e3, 1e3, -1e3, 1e3)])
-@example([(1e-310, 1.0, 0.5, 0.3, -0.7, 1e-10, 0.0, -0.0, 2.5)])
-@example([(1.0, 0.2, 0.1, 0.4, 0.3, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 1e-10, -1e-10,
-                                                        1e-10, -1e-10)])
-def test_two_band_hermiticity_defect_equals_the_full_difference(entries):
-    """max(|H01 - conj H10|, 2|Im H00|, 2|Im H11|) is max|H - H^dag| bit for
-    bit, on Hermitian, near-Hermitian and non-Hermitian matrices from
-    subnormal to 1e303 entries."""
-    scale, t, d, re_c, im_c, re_e, im_e, im00, im11 = np.array(entries).T
-    h = np.empty((len(entries), 2, 2), dtype=complex)
-    h.real[:, 0, 0], h.real[:, 1, 1] = scale * (t + d), scale * (t - d)
-    h.imag[:, 0, 0], h.imag[:, 1, 1] = scale * im00, scale * im11
-    h.real[:, 1, 0], h.imag[:, 1, 0] = scale * re_c, scale * im_c
-    # H01 is conj H10 plus the error (re_e, im_e)
-    h.real[:, 0, 1] = h.real[:, 1, 0] + scale * re_e
-    h.imag[:, 0, 1] = -h.imag[:, 1, 0] + scale * im_e
+@given(DEFECT_STACK)
+@example((2, [(1e300, 0.0, -1e3, 2e3, 1e3, 1e3, -1e3, 1e3, 1e3)]))
+@example((2, [(1e-310, 1.5, -0.0, 0.5, 2.5, 0.3, -0.7, 1e-10, 0.0)]))
+@example((2, [(1.0, 0.3, 0.0, 0.1, 0.0, 0.4, 0.3, 0.0, 0.0),
+              (1.0, 0.0, 1e-10, 0.0, -1e-10, 0.0, 0.0, 1e-10, -1e-10)]))
+@example((1, [(1e300, 1e3, -1e3), (1e-310, 0.0, -0.0)]))
+@example((2, [(1e305, 0.0, 1e3, 0.0, -0.0, 1e3, 0.0, 0.0, 0.0)]))  # 2 Im H00 overflows
+@example((3, [(1e300, *[1e3, -1e3] * 3, *[1e3, -1e3, 1e3, 1e3] * 3)]))
+def test_hermiticity_defect_equals_the_full_difference(stack):
+    """The entry-pair pass, 2|Im H_ii| and |H_ij - conj H_ji| for i < j, is
+    max|H - H^dag| bit for bit at NB 1 to 4, on Hermitian, near-Hermitian and
+    non-Hermitian matrices from subnormal to 1e303 entries, overflowing
+    subtractions included."""
+    nb, entries = stack
+    scale, *columns = np.array(entries).T
+    columns = iter([scale * column for column in columns])
+    h = np.empty((len(entries), nb, nb), dtype=complex)
+    for i in range(nb):
+        h.real[:, i, i], h.imag[:, i, i] = next(columns), next(columns)
+        for j in range(i):
+            re_c, im_c, re_e, im_e = (next(columns) for _ in range(4))
+            h.real[:, i, j], h.imag[:, i, j] = re_c, im_c
+            # H_ji is conj H_ij plus the error (re_e, im_e)
+            h.real[:, j, i], h.imag[:, j, i] = re_c + re_e, -im_c + im_e
     got = np.empty(len(h))
-    _stack_hermiticity_defect(h, got)
-    assert_same_bytes(got, np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        _stack_hermiticity_defect(h, got)
+        want = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), axis=(-2, -1))
+    assert_same_bytes(got, want)
 
 
 #: an entry of t I + d sigma_z + (Re c) sigma_x + (Im c) sigma_y: exactly

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from crmatrix import (BlochField, LatticeSpec, NonHermitianInput,
                       berry_connection, build_kgrid, central_difference,
-                      crystal_momentum_matrix, position_matrix,
+                      crystal_momentum_matrix, eigenfield_from_hamiltonian, position_matrix,
                       position_momentum_commutator, position_phase_sum,
                       random_gauge_field, reduced_position_matrix,
                       two_band_field)
 from crmatrix.presets import identity_field
 
-from conftest import on_grid, smooth_angles, smooth_field
+from conftest import on_grid, smooth_angles, smooth_field, three_band_hamiltonian
 
 
 def closed_form_overlaps(th, ph, p, q):
@@ -110,6 +110,17 @@ def test_connection_fd_defect_reported_and_symmetrised():
     assert conn_is_hermitian(conn.values, tol=1e-14)  # after symmetrisation
     fan = berry_connection(f)
     assert fan.hermiticity_defect == 0.0
+    # at NB = 3 the recorded defect is the whole max|A - A^dag| bit for bit
+    f3 = eigenfield_from_hamiltonian(three_band_hamiltonian, build_kgrid(
+        LatticeSpec(n_cells=32, lattice_constant=1.0, n_bands=3)))
+    a = 1j * np.einsum("plm,pln->pmn", f3.coeffs.conj(),
+                       central_difference(f3.coeffs, f3.grid.spacing, axis=0))
+    defect = np.max(np.abs(a - a.conj().transpose(0, 2, 1)))
+    assert defect > 0 and berry_connection(f3).hermiticity_defect == defect
+    # a NaN coefficient reaches the recorded defect
+    coeffs = f3.coeffs.copy()
+    coeffs[5, 1, 2] = np.nan
+    assert np.isnan(berry_connection(BlochField(grid=f3.grid, coeffs=coeffs)).hermiticity_defect)
 
 
 def test_reduced_constant_field_is_mass_center():
